@@ -13,6 +13,7 @@ without any network round trip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,12 @@ class ServiceCache:
     stale gossip partner before the retraction has propagated.  A local
     :meth:`store` — the authoritative path a re-announcing service takes —
     clears the tombstone immediately.
+
+    Two pieces of bookkeeping keep upkeep off the re-announcement path:
+    an **expiry watermark**, a lower bound on every entry and tombstone
+    expiry, so a sweep with nothing due is O(1); and a **location map**
+    (description location -> keys), so :meth:`refresh_location` touches
+    only that device's entries.  :meth:`check` audits both.
     """
 
     def __init__(self, clock: Callable[[], int], tombstone_ttl_s: int = 15):
@@ -44,6 +51,14 @@ class ServiceCache:
         #: key -> (deleted_at_us, tombstone_expires_at_us); see the
         #: class docstring.  Gossip digests and deltas carry these.
         self._tombstones: dict[tuple[str, str], tuple[int, float]] = {}
+        #: Lower bound on every entry and tombstone expiry: :meth:`_evict`
+        #: has nothing to drop while the clock is below it.  Every write of
+        #: an expiry lowers it when needed; only a full sweep raises it
+        #: (removals leave a valid, if loose, bound).
+        self._watermark = math.inf
+        #: record.location -> keys of the entries resolved from it (dicts
+        #: used as insertion-ordered sets).
+        self._by_location: dict[str, dict[tuple[str, str], None]] = {}
         self.hits = 0
         self.misses = 0
         #: Monotonic mutation counter: bumped whenever the entry set (or an
@@ -80,6 +95,35 @@ class ServiceCache:
         for index in self._indexes:
             index.on_remove(key)
 
+    def _put(self, key: tuple[str, str], entry: CacheEntry) -> None:
+        """Insert or replace ``key``'s entry, keeping both bookkeeping
+        structures in step (index notification stays with the caller)."""
+        old = self._entries.get(key)
+        if old is not None:
+            self._unmap_location(key, old)
+        self._entries[key] = entry
+        self._by_location.setdefault(entry.record.location, {})[key] = None
+        if entry.expires_at_us < self._watermark:
+            self._watermark = entry.expires_at_us
+
+    def _drop(self, key: tuple[str, str]) -> None:
+        self._unmap_location(key, self._entries.pop(key))
+
+    def _unmap_location(self, key: tuple[str, str], entry: CacheEntry) -> None:
+        location = entry.record.location
+        keys = self._by_location.get(location)
+        if keys is not None:
+            keys.pop(key, None)
+            if not keys:
+                del self._by_location[location]
+
+    def _plant_tombstone(
+        self, key: tuple[str, str], deleted_at_us: int, expires_at_us: float
+    ) -> None:
+        self._tombstones[key] = (deleted_at_us, expires_at_us)
+        if expires_at_us < self._watermark:
+            self._watermark = expires_at_us
+
     def __len__(self) -> int:
         self._evict()
         return len(self._entries)
@@ -92,7 +136,7 @@ class ServiceCache:
         # service is demonstrably back, so any retraction tombstone dies.
         self._tombstones.pop(key, None)
         entry = CacheEntry(record=record, stored_at_us=now, expires_at_us=expires)
-        self._entries[key] = entry
+        self._put(key, entry)
         self._note_store(key, entry)
         self.version += 1
 
@@ -127,7 +171,7 @@ class ServiceCache:
         entry = CacheEntry(
             record=record, stored_at_us=now, expires_at_us=expires_at_us
         )
-        self._entries[key] = entry
+        self._put(key, entry)
         self._note_store(key, entry)
         self.version += 1
         return True
@@ -143,13 +187,20 @@ class ServiceCache:
         if not location:
             return 0
         self._evict()
+        keys = self._by_location.get(location)
+        if not keys:
+            return 0
         now = self._clock()
+        entries = self._entries
         refreshed = 0
-        for entry in self._entries.values():
-            if entry.record.location != location:
-                continue
+        for key in keys:
+            entry = entries[key]
             entry.stored_at_us = now
-            entry.expires_at_us = now + entry.record.lifetime_s * 1_000_000
+            entry.expires_at_us = expires = now + entry.record.lifetime_s * 1_000_000
+            # A merged record may have held a later absolute expiry, so a
+            # refresh can move an expiry earlier.
+            if expires < self._watermark:
+                self._watermark = expires
             refreshed += 1
         if refreshed:
             self.version += 1
@@ -205,8 +256,8 @@ class ServiceCache:
         now = self._clock()
         expires = now + self.tombstone_ttl_s * 1_000_000
         for key in keys:
-            del self._entries[key]
-            self._tombstones[key] = (now, expires)
+            self._drop(key)
+            self._plant_tombstone(key, now, expires)
             self._note_remove(key)
         self.version += 1
 
@@ -233,10 +284,10 @@ class ServiceCache:
         existing = self._tombstones.get(key)
         if existing is not None and existing[1] >= expires_at_us:
             return False
-        self._tombstones[key] = (deleted_at_us, expires_at_us)
+        self._plant_tombstone(key, deleted_at_us, expires_at_us)
         entry = self._entries.get(key)
         if entry is not None and entry.stored_at_us <= deleted_at_us:
-            del self._entries[key]
+            self._drop(key)
             self._note_remove(key)
         self.version += 1
         return True
@@ -277,9 +328,11 @@ class ServiceCache:
         # One sweep bumps ``version`` exactly once, however many entries
         # and tombstones fall out of it together.
         now = self._clock()
+        if now < self._watermark:
+            return  # nothing can be due yet
         expired = [key for key, entry in self._entries.items() if entry.expires_at_us <= now]
         for key in expired:
-            del self._entries[key]
+            self._drop(key)
             self._note_remove(key)
         dead_tombstones = [
             key for key, (_, expires) in self._tombstones.items() if expires <= now
@@ -288,6 +341,29 @@ class ServiceCache:
             del self._tombstones[key]
         if expired or dead_tombstones:
             self.version += 1
+        self._watermark = min(
+            min((entry.expires_at_us for entry in self._entries.values()), default=math.inf),
+            min((expires for _, expires in self._tombstones.values()), default=math.inf),
+        )
+
+    def check(self) -> list[str]:
+        """Bookkeeping audit, without sweeping: the watermark bounds every
+        entry and tombstone expiry from below, and the location map equals
+        one recomputed from the entries.  Returns the problems found."""
+        problems: list[str] = []
+        for key, entry in self._entries.items():
+            if entry.expires_at_us < self._watermark:
+                problems.append(f"watermark above entry expiry: {key!r}")
+        for key, (_, expires) in self._tombstones.items():
+            if expires < self._watermark:
+                problems.append(f"watermark above tombstone expiry: {key!r}")
+        truth: dict[str, set] = {}
+        for key, entry in self._entries.items():
+            truth.setdefault(entry.record.location, set()).add(key)
+        mapped = {location: set(keys) for location, keys in self._by_location.items()}
+        if mapped != truth:
+            problems.append("location map differs from the entries")
+        return problems
 
 
 __all__ = ["ServiceCache", "CacheEntry"]

@@ -54,6 +54,7 @@ from .udp import (
     NULL_MEMO,
     NullFrameMemo,
     ParseCounter,
+    ReceiveFilter,
     UdpSocket,
     UdpStack,
     shared_decode,
@@ -75,6 +76,7 @@ __all__ = [
     "NULL_MEMO",
     "NullFrameMemo",
     "ParseCounter",
+    "ReceiveFilter",
     "shared_decode",
     "Endpoint",
     "EventHandle",

@@ -1142,27 +1142,57 @@ class Network:
             def deliver_lan(segment: Segment = segment, drop: bool = drop) -> None:
                 if drop:
                     return
-                # Per-edge loss draws happen here, at delivery-event time
-                # on the owning shard — never at send time, where the
-                # workload replay in forked workers would diverge RNGs.
-                loss = segment.loss
-                for sock in segment.group_members(group, port):
-                    if sock.node is sender:
-                        continue
-                    if loss is not None and loss.should_drop():
-                        self._obs_loss_drop(segment.name, segment.name)
-                        continue
-                    sock.deliver(datagram)
+                self._fan_out(
+                    segment.group_members(group, port), datagram, sender, segment
+                )
 
             scheduler.post(lan_delay, deliver_lan, label="udp-mcast")
 
         loop_delay = sender.segment.delay_us(size, loopback=True)
 
         def deliver_loopback() -> None:
-            for sock in sender.udp.sockets_for_group(group, port):
-                sock.deliver(datagram)
+            self._fan_out(sender.udp.sockets_for_group(group, port), datagram)
 
         scheduler.post(loop_delay, deliver_loopback, label="udp-mcast-loop")
+
+    def _fan_out(
+        self,
+        sockets: list,
+        datagram: Datagram,
+        sender: Optional[Node] = None,
+        segment: Optional[Segment] = None,
+    ) -> None:
+        """Hand one multicast frame to each of ``sockets``.
+
+        On a LAN (``segment`` given) the sender's own sockets are skipped
+        and each receiver draws the segment's per-edge loss.  The draws
+        happen here, at delivery-event time on the owning shard — never
+        at send time, where the workload replay in forked workers would
+        diverge RNGs — and *before* the receive filter, so filters never
+        change the draw order.  Each frame is classified at most once per
+        distinct classifier among the receivers' filters.
+        """
+        loss = segment.loss if segment is not None else None
+        payload = datagram.payload
+        kinds: dict = {}
+        last = kind = None
+        for sock in sockets:
+            if sock._node is sender:
+                continue
+            if loss is not None and loss.should_drop():
+                self._obs_loss_drop(segment.name, segment.name)
+                continue
+            rx = sock.receive_filter
+            if rx is not None:
+                classify, admitted = rx
+                if classify is not last:
+                    if classify not in kinds:
+                        kinds[classify] = classify(payload)
+                    last = classify
+                    kind = kinds[classify]
+                if kind not in admitted:
+                    continue
+            sock._accept(datagram)
 
     def _deliver_broadcast(self, sender: Node, datagram: Datagram) -> None:
         delivered: set[str] = set()

@@ -8,7 +8,7 @@ groups, send datagrams, receive them through a callback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .addressing import ANY, Endpoint, is_multicast, validate_port
 from .errors import NotBoundError, PortInUseError, SocketClosedError
@@ -202,6 +202,22 @@ class Datagram:
 DatagramHandler = Callable[[Datagram], None]
 
 
+class ReceiveFilter(NamedTuple):
+    """A socket's receive filter, in the spirit of a kernel socket filter.
+
+    ``classify(payload)`` places a frame in a class (a hashable value,
+    ``None`` when the frame cannot be placed); only frames whose class is
+    in ``admitted`` reach the socket.  ``None`` is always admitted, so a
+    frame the classifier cannot place still reaches the handler and its
+    full decoder.  A multicast fan-out classifies each frame once per
+    classifier, however many sockets share it, so classes should hash in
+    C (ints or ``IntEnum`` members, not plain ``Enum`` members).
+    """
+
+    classify: Callable[[bytes], object]
+    admitted: frozenset
+
+
 class UdpSocket:
     """A UDP socket bound (or bindable) on one simulated node."""
 
@@ -216,6 +232,8 @@ class UdpSocket:
         #: raise into a survivor's event loop).
         self._crashed = False
         self._handler: Optional[DatagramHandler] = None
+        #: Set by :meth:`set_receive_filter`; None admits every frame.
+        self.receive_filter: Optional[ReceiveFilter] = None
         #: Datagrams delivered before a handler was attached (tests read this).
         self.inbox: list[Datagram] = []
         self.sent_count = 0
@@ -279,6 +297,17 @@ class UdpSocket:
         for segment in self._node.segments:
             segment.unindex_group_member(self, group, self._port)
 
+    def set_receive_filter(
+        self, classify: Callable[[bytes], object], admitted: Iterable
+    ) -> "UdpSocket":
+        """Drop frames whose ``classify(payload)`` class is not in
+        ``admitted`` before they reach the handler (see
+        :class:`ReceiveFilter`).  Protocol code declares a filter where its
+        handler would drop whole frame classes at its first line anyway;
+        filtered frames are not counted in :attr:`received_count`."""
+        self.receive_filter = ReceiveFilter(classify, frozenset(admitted) | {None})
+        return self
+
     def on_datagram(self, handler: DatagramHandler) -> "UdpSocket":
         """Attach the receive callback; queued datagrams are flushed to it."""
         self._handler = handler
@@ -314,6 +343,15 @@ class UdpSocket:
 
     def deliver(self, datagram: Datagram) -> None:
         """Called by the network when a datagram arrives for this socket."""
+        rx = self.receive_filter
+        if rx is not None and rx.classify(datagram.payload) not in rx.admitted:
+            return
+        self._accept(datagram)
+
+    def _accept(self, datagram: Datagram) -> None:
+        """Receive a frame the filter admitted.  Multicast fan-out calls
+        this directly after classifying the frame once for all receivers
+        (:meth:`repro.net.network.Network._fan_out`)."""
         if self._closed:
             return
         self.received_count += 1
@@ -423,6 +461,7 @@ __all__ = [
     "NullFrameMemo",
     "NULL_MEMO",
     "ParseCounter",
+    "ReceiveFilter",
     "shared_decode",
     "MEMO_MISS",
     "ANY",

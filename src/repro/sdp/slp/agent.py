@@ -52,7 +52,7 @@ from .messages import (
 )
 from .predicate import matches as predicate_matches
 from .service_type import ServiceType
-from .wire import WIRE_MEMO_KEY, decode, encode
+from .wire import WIRE_MEMO_KEY, decode, encode, peek_function_id
 
 
 @dataclass
@@ -373,6 +373,21 @@ def _authority_matches(requested: str, service_type: ServiceType) -> bool:
     return service_type.naming_authority == requested
 
 
+#: Function ids a UA's receive filter admits: all but other agents'
+#: requests, which a UA never acts on.
+_UA_ADMITTED = frozenset(
+    int(fid)
+    for fid in FunctionId
+    if fid not in (
+        FunctionId.SRVRQST,
+        FunctionId.SRVREG,
+        FunctionId.SRVDEREG,
+        FunctionId.ATTRRQST,
+        FunctionId.SRVTYPERQST,
+    )
+)
+
+
 class UserAgent(_SlpEndpointBase):
     """Issues searches and collects replies (RFC 2608 UA).
 
@@ -384,6 +399,7 @@ class UserAgent(_SlpEndpointBase):
 
     def __init__(self, node: Node, config: SlpConfig | None = None, passive: bool = False):
         super().__init__(node, config)
+        self._socket.set_receive_filter(peek_function_id, _UA_ADMITTED)
         self._next_xid = 1
         self._pending: dict[int, PendingSearch] = {}
         self._timers: dict[int, Timer] = {}

@@ -236,6 +236,23 @@ def encode(message: SlpMessage) -> bytes:
     return _encode_header(writer, header, writer.getvalue())
 
 
+#: Every function id RFC 2608 defines, as plain ints.
+_FUNCTION_IDS = frozenset(int(fid) for fid in FunctionId)
+
+
+def peek_function_id(data: bytes) -> int | None:
+    """The function id in header byte 1 of an SLPv2 frame, without decoding.
+
+    A receive-filter classifier (see :class:`~repro.net.ReceiveFilter`):
+    it returns a plain int, or ``None`` when the frame is not SLPv2-shaped
+    or carries an id RFC 2608 does not define — such frames still reach
+    the socket's handler and its decoder's error accounting.
+    """
+    if len(data) > 1 and data[0] == SLP_VERSION and data[1] in _FUNCTION_IDS:
+        return data[1]
+    return None
+
+
 def decode_header(data: bytes) -> tuple[Header, int, int]:
     """Decode the common header; returns (header, total_length, body_offset)."""
     if len(data) < 5:
@@ -368,4 +385,11 @@ def is_multicast_request(message: SlpMessage) -> bool:
     return bool(message.header.flags & Flags.REQUEST_MCAST)
 
 
-__all__ = ["encode", "decode", "decode_header", "is_multicast_request", "WIRE_MEMO_KEY"]
+__all__ = [
+    "encode",
+    "decode",
+    "decode_header",
+    "is_multicast_request",
+    "peek_function_id",
+    "WIRE_MEMO_KEY",
+]

@@ -87,11 +87,17 @@ class UpnpControlPoint:
 
         self._parse_counter = node.network.parse_counter("upnp")
         # Unicast search responses come back to the ephemeral search socket;
-        # NOTIFY traffic arrives on the shared SSDP group socket.
+        # NOTIFY traffic arrives on the shared SSDP group socket, which also
+        # hears M-SEARCHes and stray responses.  Each socket's receive
+        # filter admits only the kinds its handler consumes.
         self._search_socket = node.udp.socket()
+        self._search_socket.set_receive_filter(peek_ssdp_kind, (SsdpKind.RESPONSE,))
         self._search_socket.on_datagram(self._on_search_response)
         self._notify_socket = node.udp.socket().bind(SSDP_PORT, reuse=True)
         self._notify_socket.join_group(SSDP_GROUP)
+        self._notify_socket.set_receive_filter(
+            peek_ssdp_kind, (SsdpKind.ALIVE, SsdpKind.BYEBYE)
+        )
         self._notify_socket.on_datagram(self._on_notify)
 
     # -- discovery ---------------------------------------------------------
@@ -131,10 +137,6 @@ class UpnpControlPoint:
         return search
 
     def _on_search_response(self, datagram) -> None:
-        # Kind peek: the search socket only consumes 200 OK responses.
-        kind = peek_ssdp_kind(datagram.payload)
-        if kind is not None and kind is not SsdpKind.RESPONSE:
-            return
         message = decode_ssdp_shared(
             datagram.payload, datagram.ensure_memo(), self._parse_counter
         )
@@ -150,11 +152,6 @@ class UpnpControlPoint:
         self.node.schedule(self.timings.response_parse_us, deliver)
 
     def _on_notify(self, datagram) -> None:
-        # Kind peek: the group socket also hears M-SEARCHes (and, with
-        # reuse, stray responses); only NOTIFY traffic is decoded.
-        kind = peek_ssdp_kind(datagram.payload)
-        if kind is SsdpKind.MSEARCH or kind is SsdpKind.RESPONSE:
-            return
         message = decode_ssdp_shared(
             datagram.payload, datagram.ensure_memo(), self._parse_counter
         )

@@ -14,9 +14,17 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 from .errors import DescriptionError
+
+
+def escape(text: str) -> str:
+    """XML-escape character data: ``&``, ``>`` and ``<``, in the order
+    ``xml.sax.saxutils.escape`` uses.  Local, because importing
+    ``xml.sax.saxutils`` pulls ``urllib.request`` (and with it
+    ``http.client``, ``email`` and ``ssl``) into every process."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 DEVICE_NS = "urn:schemas-upnp-org:device-1-0"
 SERVICE_NS = "urn:schemas-upnp-org:service-1-0"

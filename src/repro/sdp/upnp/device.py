@@ -119,6 +119,9 @@ class UpnpDevice:
 
         self._ssdp_socket = node.udp.socket().bind(SSDP_PORT, reuse=True)
         self._ssdp_socket.join_group(SSDP_GROUP)
+        # A device only acts on M-SEARCH: the sibling alive/byebye floods
+        # of a device fleet never reach the handler.
+        self._ssdp_socket.set_receive_filter(peek_ssdp_kind, (SsdpKind.MSEARCH,))
         self._ssdp_socket.on_datagram(self._on_ssdp_datagram)
         self._listener = node.tcp.listen(http_port, self._on_http_connection)
         # GENA eventing (UPnP DA 1.0 section 4): one publisher serves all
@@ -204,13 +207,6 @@ class UpnpDevice:
             )
 
     def _on_ssdp_datagram(self, datagram) -> None:
-        # First-line kind peek: a device only acts on M-SEARCH, so the
-        # sibling alive/byebye floods of a device fleet are skipped with
-        # one prefix comparison — no memo lookup, no tokenizer.  Frames
-        # the peek cannot classify fall through to the shared decode.
-        kind = peek_ssdp_kind(datagram.payload)
-        if kind is not None and kind is not SsdpKind.MSEARCH:
-            return
         message = decode_ssdp_shared(
             datagram.payload, datagram.ensure_memo(), self._parse_counter
         )

@@ -20,10 +20,10 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Callable, Optional
-from xml.sax.saxutils import escape
 
 from ...net import Endpoint, Node
 from ...net.udp import FrameMemo, shared_decode
+from .description import escape
 from .errors import UpnpError
 from .http import Headers, HttpRequest, HttpResponse, HttpStreamParser
 from .urls import parse_http_url

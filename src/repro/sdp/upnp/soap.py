@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
+from .description import escape
 from .errors import SoapError
 
 ENVELOPE_NS = "http://schemas.xmlsoap.org/soap/envelope/"

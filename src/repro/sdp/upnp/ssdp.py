@@ -17,7 +17,7 @@ them is the job of this module, while :mod:`repro.sdp.upnp.device` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import Optional
 
 from .constants import (
@@ -37,11 +37,15 @@ from .errors import SsdpParseError
 from .http import HEADER_END, Headers, HttpRequest, HttpResponse
 
 
-class SsdpKind(Enum):
-    MSEARCH = "msearch"
-    RESPONSE = "response"
-    ALIVE = "alive"
-    BYEBYE = "byebye"
+class SsdpKind(IntEnum):
+    """The four SSDP message kinds.  An ``IntEnum`` so the kinds hash in C:
+    :func:`peek_ssdp_kind` is a receive-filter classifier, and its result
+    is looked up in each receiving socket's admitted set."""
+
+    MSEARCH = 1
+    RESPONSE = 2
+    ALIVE = 3
+    BYEBYE = 4
 
 
 @dataclass(frozen=True)
@@ -268,8 +272,9 @@ SSDP_MEMO_KEY = "ssdp-msg"
 def peek_ssdp_kind(data: bytes) -> Optional[SsdpKind]:
     """Cheap first-line kind peek without tokenizing the datagram.
 
-    Mirrors the SLP unit's DAAdvert header-byte peek: a handful of prefix
-    comparisons classify the frame before any header is split.  NOTIFY
+    The receive-filter classifier of every native SSDP socket (see
+    :class:`~repro.net.ReceiveFilter`): a handful of prefix comparisons
+    classify the frame before any header is split.  NOTIFY
     needs the ``NTS`` header to distinguish alive from byebye, so it is
     resolved with one substring probe over the raw bytes.  ``None`` means
     "not SSDP-shaped" (uppercase wire forms only — anything else falls

@@ -169,9 +169,11 @@ class CacheIndex:
 
     def check(self) -> list[str]:
         """Invariant audit against the authoritative per-type dict; the
-        coherence tests call this after every interleaving."""
+        coherence tests call this after every interleaving.  Includes the
+        cache's own bookkeeping audit (:meth:`ServiceCache.check`)."""
         problems: list[str] = []
         truth = dict(self.cache.live_entries())
+        problems.extend(self.cache.check())
         indexed = {
             key for bucket in self._by_type.values() for key in bucket
         }

@@ -14,6 +14,7 @@ Jini is repository-based, so the unit plays two roles:
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from ..core.composer import ComposeError, OutboundMessage, SdpComposer
@@ -268,6 +269,9 @@ class JiniUnit(Unit):
         return
 
 
+# Built once per process: a definition is never mutated once built, and
+# every StateMachine over it binds its own actions by name.
+@functools.cache
 def _lifecycle_fsm() -> StateMachineDefinition:
     definition = StateMachineDefinition("jini-unit", "idle")
     definition.add_tuple("idle", SDP_SERVICE_ALIVE, None, "registrar-known", [])

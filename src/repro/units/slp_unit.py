@@ -12,6 +12,7 @@ composers that do not understand them.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from ..core.composer import ComposeError, OutboundMessage, SdpComposer
@@ -371,6 +372,9 @@ def _slp_url_from_parts(service_type: str, url: str) -> str:
     return f"service:{scheme}://{rest}"
 
 
+# Built once per process: a definition is never mutated once built, and
+# every StateMachine over it binds its own actions by name.
+@functools.cache
 def _target_fsm() -> StateMachineDefinition:
     """Per-session coordination for SLP-as-target (foreign request -> SLP).
 

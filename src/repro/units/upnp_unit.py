@@ -18,6 +18,7 @@ synthesized description documents for translated services.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from ..core.composer import ComposeError, OutboundMessage, SdpComposer
@@ -371,6 +372,9 @@ def _strip_scheme_to_path(url: str) -> str:
     return url
 
 
+# Built once per process: a definition is never mutated once built, and
+# every StateMachine over it binds its own actions by name.
+@functools.cache
 def _target_fsm() -> StateMachineDefinition:
     """Per-session coordination for UPnP-as-target (Fig. 4 steps 2-3)."""
     definition = StateMachineDefinition("upnp-target", "idle")
