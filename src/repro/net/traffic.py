@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 
 @dataclass
@@ -23,30 +22,25 @@ class PortCounters:
     last_seen_us: int = -1
 
 
-class TrafficSample(NamedTuple):
-    # A NamedTuple, not a dataclass: two samples are allocated per
-    # delivered frame (network-wide plus per-segment), so construction
-    # cost is a measurable slice of the delivery hot path.
-    time_us: int
-    port: int
-    size: int
-    transport: str
-    multicast: bool
-
-
 class TrafficMonitor:
     """Counts every message the network delivers or attempts to deliver.
 
     The monitor keeps cumulative per-port counters forever and a sliding
-    window of recent samples for utilization queries.  ``window_us`` bounds
+    window of recent traffic for utilization queries.  ``window_us`` bounds
     how far back :meth:`utilization` can look.
+
+    The window holds coalesced ``[time_us, bytes]`` buckets, not one
+    sample per frame: a frame recorded in the same µs as the newest
+    bucket adds its bytes there, so a multicast burst costs one bucket.
+    Eviction pops buckets from the front exactly where it would have
+    popped the samples they merge, so every window query is unchanged.
     """
 
     def __init__(self, bandwidth_bps: int | None, window_us: int = 5_000_000):
         self._bandwidth_bps = bandwidth_bps
         self._window_us = window_us
         self._per_port: dict[int, PortCounters] = defaultdict(PortCounters)
-        self._recent: deque[TrafficSample] = deque()
+        self._recent: deque[list[int]] = deque()
         self.total_messages = 0
         self.total_bytes = 0
 
@@ -59,13 +53,14 @@ class TrafficMonitor:
             counters.multicast_messages += 1
         self.total_messages += 1
         self.total_bytes += size
-        self._recent.append(TrafficSample(time_us, port, size, transport, multicast))
-        self._evict(time_us)
-
-    def _evict(self, now_us: int) -> None:
-        horizon = now_us - self._window_us
-        while self._recent and self._recent[0].time_us < horizon:
-            self._recent.popleft()
+        recent = self._recent
+        if recent and recent[-1][0] == time_us:
+            recent[-1][1] += size
+            return
+        recent.append([time_us, size])
+        horizon = time_us - self._window_us
+        while recent[0][0] < horizon:
+            recent.popleft()
 
     def port(self, port: int) -> PortCounters:
         """Counters for ``port`` (zeros if never seen)."""
@@ -81,7 +76,7 @@ class TrafficMonitor:
                 f"window {window_us} exceeds monitor retention {self._window_us}"
             )
         horizon = now_us - window_us
-        return sum(s.size for s in self._recent if s.time_us >= horizon)
+        return sum(size for time_us, size in self._recent if time_us >= horizon)
 
     def utilization(self, now_us: int, window_us: int = 1_000_000) -> float:
         """Fraction of segment bandwidth consumed over the trailing window.
@@ -97,4 +92,4 @@ class TrafficMonitor:
         return min(bits / capacity_bits, 1.0) if capacity_bits else 0.0
 
 
-__all__ = ["TrafficMonitor", "PortCounters", "TrafficSample"]
+__all__ = ["TrafficMonitor", "PortCounters"]

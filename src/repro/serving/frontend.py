@@ -25,11 +25,20 @@ foreign multicast request would take.  Whatever answers lands in the
 cache through the ordinary ``_deliver_reply`` path, so the next query
 for that type hits.  One fallback per type per ``fallback_window_us``
 keeps an open-loop miss storm from multiplying into a multicast storm.
+
+**Encode once, parse once.**  Requests are read through the frame's
+decode memo, which the load clients seed with the message they sent.
+Each reply's records are rendered from the index's per-record
+:class:`~repro.serving.wire.RecordFragment` (only the stamp is formatted
+per query), the rest of the reply by :func:`~repro.serving.wire.encode_flat`,
+and the reply itself is seeded as the frame's decode hint.  The bytes
+equal :func:`~repro.serving.wire.encode` of the reply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..core.events import (
     Event,
@@ -38,15 +47,49 @@ from ..core.events import (
     bracket,
 )
 from ..core.indiss import Indiss
-from ..net.udp import Datagram, Endpoint
+from ..net.udp import Datagram, Endpoint, shared_decode
 from ..sdp.base import normalize_service_type
 from .index import CacheIndex, IndexSnapshot, staleness_us
 from . import wire
+from .wire import RecordFragment
 
 #: The synthetic origin SDP stamped on fallback sessions.  Not a unit id
 #: on purpose: ``_deliver_reply`` finds no origin unit, so the reply is
 #: cached but never composed back onto a native wire.
 FALLBACK_ORIGIN = "serving"
+
+
+#: An endpoint's answer: the reply, and the JSON text already rendered for
+#: some of its top-level fields (``rendered`` of :func:`wire.encode_flat`).
+Answer = tuple[dict, Optional[dict]]
+
+
+class _BadScope(Exception):
+    """A request scope names a district that is not an integer."""
+
+
+def _type_url_order(row: tuple[RecordFragment, int]) -> tuple[str, str]:
+    record = row[0].record
+    return (record.service_type, record.url)
+
+
+def _render(rows: list) -> tuple[list, str]:
+    """A record array from (fragment, stamp) rows: wire dicts, JSON text."""
+    return (
+        [fragment.to_wire(stamp) for fragment, stamp in rows],
+        "[" + ", ".join([fragment.render(stamp) for fragment, stamp in rows]) + "]",
+    )
+
+
+def _ok(rows: list) -> Answer:
+    """An ``ok`` reply over (fragment, stamp) rows, records in (type, url)
+    order, and its rendered ``records`` text."""
+    rows = sorted(rows, key=_type_url_order)
+    records, text = _render(rows)
+    reply = wire.response(
+        0, "ok", records=records, staleness_us=max((stamp for _, stamp in rows), default=0)
+    )
+    return reply, {"records": text}
 
 
 @dataclass
@@ -119,26 +162,36 @@ class QueryFrontend:
         return self.index.snapshot()
 
     def _on_datagram(self, datagram: Datagram) -> None:
-        message = wire.decode(datagram.payload)
+        message = shared_decode(
+            datagram.memo, wire.WIRE_MEMO_KEY, datagram.payload, wire.decode
+        )
         if message is None or message.get("kind") not in wire.REQUEST_KINDS:
             self.stats.decode_errors += 1
             return
         kind = message["kind"]
-        rid = int(message.get("rid", 0))
+        try:
+            rid = int(message.get("rid", 0))
+        except (TypeError, ValueError, OverflowError):
+            self.stats.decode_errors += 1
+            return
         self.stats.queries += 1
         self.stats.note_endpoint(kind)
         snap = self._snapshot()
         now = self.node.now_us
         obs = self.node.network.obs
 
-        if kind == "type":
-            reply = self._answer_type(message, snap, now)
-        elif kind == "url":
-            reply = self._answer_url(message, snap, now)
-        elif kind == "batch":
-            reply = self._answer_batch(message, snap, now)
-        else:
-            reply = self._answer_districts(message, snap, now)
+        try:
+            if kind == "type":
+                reply, rendered = self._answer_type(message, snap, now)
+            elif kind == "url":
+                reply, rendered = self._answer_url(message, snap, now)
+            elif kind == "batch":
+                reply, rendered = self._answer_batch(message, snap, now)
+            else:
+                reply, rendered = self._answer_districts(message, snap, now)
+        except _BadScope:
+            reply = wire.response(0, "error", records=[], error="bad scope")
+            rendered = None
         reply["rid"] = rid
         reply["ver"] = snap.version
         reply["served_by"] = self.node.address
@@ -176,12 +229,16 @@ class QueryFrontend:
             if reply.get("stale"):
                 obs.metrics.counter("serving.query.stale", endpoint=kind).inc()
 
-        self._socket.sendto(wire.encode(reply), datagram.source)
+        self._socket.sendto(
+            wire.encode_flat(reply, rendered),
+            datagram.source,
+            decode_hint=(wire.WIRE_MEMO_KEY, reply),
+        )
         self.stats.responses_sent += 1
 
     # -- endpoints -----------------------------------------------------------
 
-    def _answer_type(self, message: dict, snap: IndexSnapshot, now: int) -> dict:
+    def _answer_type(self, message: dict, snap: IndexSnapshot, now: int) -> Answer:
         raw = str(message.get("st", ""))
         wanted = normalize_service_type(raw)
         if message.get("prefix"):
@@ -200,39 +257,42 @@ class QueryFrontend:
         if not entries:
             if self.fallback and wanted:
                 self._fallback_translate(wanted, raw)
-            return wire.response(0, "miss", records=[])
-        return self._ok(entries, now)
+            return wire.response(0, "miss", records=[]), None
+        return _ok(self._rows(entries, now))
 
-    def _answer_url(self, message: dict, snap: IndexSnapshot, now: int) -> dict:
+    def _answer_url(self, message: dict, snap: IndexSnapshot, now: int) -> Answer:
         entries = self._apply_scope(
             snap.by_url(str(message.get("url", ""))), message.get("scope")
         )
         if not entries:
-            return wire.response(0, "miss", records=[])
-        return self._ok(entries, now)
+            return wire.response(0, "miss", records=[]), None
+        return _ok(self._rows(entries, now))
 
-    def _answer_batch(self, message: dict, snap: IndexSnapshot, now: int) -> dict:
+    def _answer_batch(self, message: dict, snap: IndexSnapshot, now: int) -> Answer:
         targets = message.get("targets")
         if not isinstance(targets, list):
-            return wire.response(0, "error", records=[], error="bad targets")
+            return wire.response(0, "error", records=[], error="bad targets"), None
         per_target: dict[str, list] = {}
+        per_target_text: dict[str, str] = {}
         matched: list = []
         for raw in targets:
             wanted = normalize_service_type(str(raw))
             entries = self._apply_scope(snap.by_type(wanted), message.get("scope"))
-            per_target[str(raw)] = [
-                wire.record_to_wire(e.record, staleness_us(e, now)) for e in entries
-            ]
-            matched.extend(entries)
+            rows = self._rows(entries, now)
+            per_target[str(raw)], per_target_text[str(raw)] = _render(rows)
+            matched.extend(rows)
             if not entries and self.fallback and wanted:
                 self._fallback_translate(wanted, str(raw))
+        by_target_text = wire.render_object(per_target_text)
         if not matched:
-            return wire.response(0, "miss", records=[], by_target=per_target)
-        reply = self._ok(matched, now)
+            reply = wire.response(0, "miss", records=[], by_target=per_target)
+            return reply, {"by_target": by_target_text}
+        reply, rendered = _ok(matched)
         reply["by_target"] = per_target
-        return reply
+        rendered["by_target"] = by_target_text
+        return reply, rendered
 
-    def _answer_districts(self, message: dict, snap: IndexSnapshot, now: int) -> dict:
+    def _answer_districts(self, message: dict, snap: IndexSnapshot, now: int) -> Answer:
         wanted = normalize_service_type(str(message.get("st", "")))
         entries = snap.by_type(wanted)
         districts: dict[str, int] = {}
@@ -257,29 +317,30 @@ class QueryFrontend:
                     district = peer.node.network.partition_of_node(peer.node)
                     districts.setdefault(str(district), 0)
         if not entries and not districts:
-            return wire.response(0, "miss", records=[], districts={})
-        reply = self._ok(entries, now) if entries else wire.response(0, "ok", records=[])
+            return wire.response(0, "miss", records=[], districts={}), None
+        if entries:
+            reply, rendered = _ok(self._rows(entries, now))
+        else:
+            reply, rendered = wire.response(0, "ok", records=[]), None
         reply["districts"] = districts
-        return reply
+        return reply, rendered
 
     # -- helpers -------------------------------------------------------------
 
-    def _ok(self, entries: list, now: int) -> dict:
-        stamps = [staleness_us(e, now) for e in entries]
-        records = [
-            wire.record_to_wire(e.record, stamp) for e, stamp in zip(entries, stamps)
-        ]
-        records.sort(key=lambda r: (r["t"], r["u"]))
-        return wire.response(
-            0, "ok", records=records, staleness_us=max(stamps, default=0)
-        )
+    def _rows(self, entries: list, now: int) -> list[tuple[RecordFragment, int]]:
+        """(wire fragment, staleness stamp) per entry, in entry order."""
+        fragment = self.index.fragment
+        return [(fragment(e.record), staleness_us(e, now)) for e in entries]
 
     def _apply_scope(self, entries: list, scope) -> list:
         if not isinstance(scope, dict):
             return entries
         districts = scope.get("districts")
         if isinstance(districts, list) and districts:
-            allowed = {int(d) for d in districts}
+            try:
+                allowed = {int(d) for d in districts}
+            except (TypeError, ValueError, OverflowError):
+                raise _BadScope from None
             entries = [
                 e for e in entries if self._district_of_url(e.record.url) in allowed
             ]

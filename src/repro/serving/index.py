@@ -17,6 +17,10 @@ which is what makes reads O(1) amortized even under churn.
 The index survives :meth:`Indiss.restart` cache replacement via
 :meth:`rebind` — the frontend re-reads ``indiss.cache`` at use time and
 rebinds when the object changed.
+
+The index also holds each live key's reply wire form
+(:meth:`fragment`), so a record is JSON-encoded once per record object
+rather than once per query that returns it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from bisect import bisect_left
 from typing import Callable, Iterable, Mapping, Optional
 
 from ..core.cache import CacheEntry, ServiceCache
+from ..sdp.base import ServiceRecord
+from .wire import RecordFragment, record_fragment
 
 Key = tuple[str, str]
 
@@ -83,6 +89,8 @@ class CacheIndex:
         self._by_attr: dict[tuple[str, str], dict[Key, CacheEntry]] = {}
         #: Sorted type names, rebuilt lazily when the type set moved.
         self._type_table: Optional[list[str]] = None
+        #: key -> wire fragment of the record last served under it.
+        self._fragments: dict[Key, RecordFragment] = {}
         self.rebuilds = 0
         self.rebind(cache)
 
@@ -104,6 +112,7 @@ class CacheIndex:
         self._by_type.clear()
         self._by_attr.clear()
         self._type_table = None
+        self._fragments.clear()
         cache.attach_index(self)
         for key, entry in cache.live_entries():
             self.on_store(key, entry)
@@ -135,6 +144,7 @@ class CacheIndex:
             self._drop(key, old)
 
     def _drop(self, key: Key, entry: CacheEntry) -> None:
+        self._fragments.pop(key, None)
         urls = self._by_url.get(key[1])
         if urls is not None:
             urls.pop(key, None)
@@ -162,6 +172,15 @@ class CacheIndex:
             self.cache.evict_expired()
         return IndexSnapshot(self.cache.version, self)
 
+    def fragment(self, record: ServiceRecord) -> RecordFragment:
+        """The wire fragment of an indexed ``record``, built on first use
+        and rebuilt once the record under its key is another object."""
+        key = (record.service_type, record.url)
+        cached = self._fragments.get(key)
+        if cached is None or cached.record is not record:
+            cached = self._fragments[key] = record_fragment(record)
+        return cached
+
     def _sorted_types(self) -> list[str]:
         if self._type_table is None:
             self._type_table = sorted(self._by_type)
@@ -188,6 +207,9 @@ class CacheIndex:
             for key in bucket:
                 if key not in truth:
                     problems.append(f"stale in attr map ({name}={value}): {key!r}")
+        for key in self._fragments:
+            if key not in truth:
+                problems.append(f"stale in fragment map: {key!r}")
         return problems
 
 

@@ -27,12 +27,22 @@ Responses carry ``status`` (``"ok"`` | ``"miss"`` | ``"error"``), the
 matched records, the serving index ``ver`` (cache version at answer
 time), and the honesty stamp ``staleness_us`` — see
 :mod:`repro.serving.frontend` for the contract.
+
+:func:`encode` and :func:`decode` are the reference codec.  The serving
+hot path produces the same bytes faster: :func:`encode_flat` formats the
+flat top level of a message inline, and a :class:`RecordFragment` holds a
+record's canonical JSON split around its only per-query field,
+``stale_us``, so a reply re-renders a record as ``pre + stamp + suf``.
+Senders seed each frame's memo with the message they encoded
+(``decode_hint=(WIRE_MEMO_KEY, message)``) and receivers read it back
+through :func:`repro.net.shared_decode`, so neither side parses JSON.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Optional
+from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Any, Mapping, NamedTuple, Optional
 
 from ..sdp.base import ServiceRecord
 
@@ -45,10 +55,57 @@ WIRE_VERSION = 1
 
 REQUEST_KINDS = ("type", "url", "batch", "districts")
 
+#: Frame-memo key of the decoded message (see :class:`repro.net.FrameMemo`).
+WIRE_MEMO_KEY = "serving-json"
+
+#: The reference encoder's settings, built once (``json.dumps`` with a
+#: keyword argument builds a fresh encoder on every call).  It escapes
+#: every string, key or value, with ``_encode_str`` (``ensure_ascii``).
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_encode_value = _ENCODER.encode
+
 
 def encode(message: Mapping[str, Any]) -> bytes:
     """Canonical-JSON encode: same message, same bytes, every run."""
     return json.dumps(message, sort_keys=True).encode("utf-8")
+
+
+def render_object(members: Mapping[str, str]) -> str:
+    """A JSON object, keys sorted, from already-encoded member values."""
+    return (
+        "{"
+        + ", ".join([f"{_encode_str(key)}: {members[key]}" for key in sorted(members)])
+        + "}"
+    )
+
+
+def encode_flat(
+    message: Mapping[str, Any], rendered: Optional[Mapping[str, str]] = None
+) -> bytes:
+    """:func:`encode`, byte for byte, for a message with string keys.
+
+    Top-level ``str``, ``int`` and ``True`` values are formatted here;
+    ``rendered`` maps top-level keys to JSON text already produced for
+    their values (reply record arrays built from fragments); every other
+    value goes through the reference encoder.
+    """
+    members = []
+    for key in sorted(message):
+        if rendered is not None and key in rendered:
+            text = rendered[key]
+        else:
+            value = message[key]
+            kind = type(value)
+            if kind is str:
+                text = _encode_str(value)
+            elif kind is int:
+                text = int.__repr__(value)
+            elif value is True:
+                text = "true"
+            else:
+                text = _encode_value(value)
+        members.append(f"{_encode_str(key)}: {text}")
+    return ("{" + ", ".join(members) + "}").encode("utf-8")
 
 
 def decode(payload: bytes) -> Optional[dict]:
@@ -77,6 +134,43 @@ def record_to_wire(record: ServiceRecord, staleness_us: int) -> dict:
     if record.location:
         wire["loc"] = record.location
     return wire
+
+
+class RecordFragment(NamedTuple):
+    """One record's wire form, pre-encoded around its ``stale_us`` field.
+
+    ``record`` is the object the fragment was built from; a holder checks
+    it by identity before reuse.  ``wire`` is :func:`record_to_wire`
+    without ``stale_us``, shared read-only by every reply that carries it.
+    """
+
+    record: ServiceRecord
+    wire: dict
+    pre: str
+    suf: str
+
+    def to_wire(self, staleness_us: int) -> dict:
+        """Equals ``record_to_wire(self.record, staleness_us)``."""
+        return {**self.wire, "stale_us": staleness_us}
+
+    def render(self, staleness_us: int) -> str:
+        """Equals ``_ENCODER.encode(self.to_wire(staleness_us))``."""
+        return f"{self.pre}{staleness_us}{self.suf}"
+
+
+def record_fragment(record: ServiceRecord) -> RecordFragment:
+    """Build the :class:`RecordFragment` of ``record``."""
+    body = record_to_wire(record, 0)
+    del body["stale_us"]
+    head: list[str] = []
+    tail: list[str] = []
+    for key in sorted(body):
+        (head if key < "stale_us" else tail).append(
+            f"{_encode_str(key)}: {_encode_value(body[key])}"
+        )
+    pre = "{" + "".join([f"{member}, " for member in head]) + '"stale_us": '
+    suf = "".join([f", {member}" for member in tail]) + "}"
+    return RecordFragment(record, body, pre, suf)
 
 
 def request(kind: str, rid: int, **fields: Any) -> dict:
@@ -114,8 +208,13 @@ __all__ = [
     "SERVING_PORT",
     "WIRE_VERSION",
     "REQUEST_KINDS",
+    "WIRE_MEMO_KEY",
+    "RecordFragment",
     "encode",
+    "encode_flat",
     "decode",
+    "render_object",
+    "record_fragment",
     "record_to_wire",
     "request",
     "response",

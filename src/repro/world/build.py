@@ -24,7 +24,7 @@ import random
 from typing import Callable, Optional
 
 from ..core import Indiss, IndissConfig
-from ..net import Endpoint, Network, NetworkError
+from ..net import Endpoint, Network, NetworkError, shared_decode
 from ..net.parallel import ShardedScheduler
 from ..net.partition import network_partition_map
 from ..obs import Recording
@@ -860,7 +860,12 @@ class World:
         sock = node.udp.socket()
 
         def on_response(datagram) -> None:
-            reply = serving_wire.decode(datagram.payload)
+            reply = shared_decode(
+                datagram.memo,
+                serving_wire.WIRE_MEMO_KEY,
+                datagram.payload,
+                serving_wire.decode,
+            )
             if reply is None or reply.get("kind") != "resp":
                 stats["decode_errors"] += 1
                 return
@@ -888,7 +893,7 @@ class World:
         sock.on_datagram(on_response)
 
         def fire(i: int) -> None:
-            message = _build_query(step, i, state)
+            message = _build_query(serving_wire, step, i, state)
             state["inflight"][i] = node.now_us
             stats["sent"] += 1
             kind = message["kind"]
@@ -898,7 +903,11 @@ class World:
                 stats["districts_sent"] += 1
             elif kind == "url":
                 stats["url_sent"] += 1
-            sock.sendto(serving_wire.encode(message), target)
+            sock.sendto(
+                serving_wire.encode_flat(message),
+                target,
+                decode_hint=(serving_wire.WIRE_MEMO_KEY, message),
+            )
             if i + 1 < len(times):
                 node.schedule(times[i + 1] - times[i], lambda: fire(i + 1))
 
@@ -1126,10 +1135,12 @@ def _arrival_offsets(step: QueryLoad, rng: random.Random) -> list[int]:
     return times
 
 
-def _build_query(step: QueryLoad, i: int, state: dict) -> dict:
-    """The i-th query in the step's mix (see :class:`QueryLoad`)."""
-    from ..serving import wire as serving_wire
+def _build_query(serving_wire, step: QueryLoad, i: int, state: dict) -> dict:
+    """The i-th query in the step's mix (see :class:`QueryLoad`).
 
+    ``serving_wire`` is :mod:`repro.serving.wire`, imported once per client
+    by the caller; worlds without a serving tier never import it.
+    """
     if step.url_every and (i + 1) % step.url_every == 0 and state["last_url"]:
         return serving_wire.request("url", i, url=state["last_url"])
     if step.batch_every and (i + 1) % step.batch_every == 0:

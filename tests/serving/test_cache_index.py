@@ -8,10 +8,13 @@ stale entry in an attached :class:`~repro.serving.index.CacheIndex`
 (``check()`` stays clean throughout).
 """
 
+import json
+
 import pytest
 
 from repro.core.cache import ServiceCache
 from repro.sdp.base import ServiceRecord
+from repro.serving import wire
 from repro.serving.index import CacheIndex, staleness_us
 
 
@@ -182,6 +185,28 @@ class TestCacheIndex:
         assert index.rebuilds == 1
         # Old cache no longer notifies this index.
         cache.store(rec(service_type="clock", url="u2"))
+        assert index.check() == []
+
+    def test_fragments_follow_the_record_under_each_key(self, indexed):
+        cache, index = indexed
+        cache.store(rec(service_type="clock", url="u1", attributes={"room": "a"}))
+        (entry,) = index.snapshot().by_type("clock")
+        first = index.fragment(entry.record)
+        assert index.fragment(entry.record) is first  # encoded once
+        assert first.to_wire(7) == wire.record_to_wire(entry.record, 7)
+        # A re-announcement with new content replaces the record object:
+        # the identity check re-encodes instead of serving the old bytes.
+        cache.store(rec(service_type="clock", url="u1", attributes={"room": "b"}))
+        (entry,) = index.snapshot().by_type("clock")
+        assert index.fragment(entry.record).render(7) == \
+            json.dumps(wire.record_to_wire(entry.record, 7), sort_keys=True)
+        assert '"room": "b"' in index.fragment(entry.record).pre
+        # The check is by identity, not by the index's own notifications.
+        twin = rec(service_type="clock", url="u1", attributes={"room": "c"})
+        assert index.fragment(twin).record is twin
+        # Dropping the key drops its fragment.
+        cache.remove_url("u1")
+        assert index._fragments == {}
         assert index.check() == []
 
     def test_detach_on_close_stops_notifications(self, indexed):

@@ -189,6 +189,36 @@ class TestEndpoints:
             frontend.stats.decode_errors - 2  # minus the unanswered garbage
 
 
+class TestMalformedQueries:
+    def test_bad_rid_and_scope_are_answered_not_raised(self):
+        """A request id ``int()`` cannot convert is a decode error (no
+        reply); a non-integer scope district gets an ``error`` reply.
+        Either way the frontend keeps serving and the world keeps running."""
+        world = serving_world()
+        client = Client(world)
+        frontend = frontend_of(world, "gateway1")
+        errors = frontend.stats.decode_errors
+        client.send_raw("gateway1", wire.encode(wire.request("type", "abc", st="warm")))
+        client.send_raw("gateway1", wire.encode(wire.request("type", [1], st="warm")))
+        assert frontend.stats.decode_errors == errors + 2
+        assert client.replies == []
+
+        for kind, fields in (("type", {"st": "warm"}), ("batch", {"targets": ["warm"]})):
+            reply = client.ask(
+                "gateway1",
+                wire.request(kind, 5, scope={"districts": ["x"]}, **fields),
+            )
+            assert reply["status"] == "error"
+            assert reply["error"] == "bad scope"
+            assert reply["rid"] == 5
+
+        start = world.net.scheduler.now_us
+        reply = client.ask("gateway1", wire.request("type", 6, st="warm"))
+        assert reply["status"] == "ok"
+        assert world.net.scheduler.now_us > start
+        assert frontend.stats.decode_errors == errors + 2
+
+
 class TestFallback:
     def test_miss_triggers_translation_and_warms_cache(self):
         world = serving_world(seed=3)
