@@ -830,13 +830,9 @@ class Network:
             # A detached host (fleet churn) has no NIC: the send drops.
             self.unrouted += 1
             return
-        size = len(payload)
+        multicast = is_multicast(destination.host)
         self.traffic.record(
-            self.scheduler.now_us,
-            destination.port,
-            size,
-            "udp",
-            multicast=is_multicast(destination.host),
+            self.scheduler.now_us, destination.port, len(payload), "udp", multicast
         )
         if self.parse_once:
             datagram = Datagram(payload=payload, source=source, destination=destination)
@@ -849,7 +845,7 @@ class Network:
                 payload=payload, source=source, destination=destination, memo=NULL_MEMO
             )
 
-        if is_multicast(destination.host):
+        if multicast:
             self._deliver_multicast(sender, datagram)
         elif is_broadcast(destination.host):
             self._deliver_broadcast(sender, datagram)
@@ -900,13 +896,14 @@ class Network:
             "udp",
             multicast=multicast,
         )
-        self.trace_message(
-            "udp",
-            datagram.source,
-            datagram.destination,
-            datagram.payload,
-            segment=segment.name,
-        )
+        if self._capture:
+            self.trace_message(
+                "udp",
+                datagram.source,
+                datagram.destination,
+                datagram.payload,
+                segment=segment.name,
+            )
 
     def _deliver_unicast(self, sender: Node, datagram: Datagram) -> None:
         destination = datagram.destination

@@ -76,6 +76,10 @@ class Node:
     def schedule(self, delay_us: int, callback: Callable[[], None], label: str = "") -> EventHandle:
         return self.network.scheduler_for(self).schedule(delay_us, callback, label=label)
 
+    def post(self, delay_us: int, callback: Callable[[], None], label: str = "") -> None:
+        """Fire-and-forget :meth:`schedule` (see :meth:`Scheduler.post`)."""
+        self.network.scheduler_for(self).post(delay_us, callback, label=label)
+
     def timer(self, callback: Callable[[], None]) -> Timer:
         return Timer(self.network.scheduler_for(self), callback)
 

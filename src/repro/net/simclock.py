@@ -435,12 +435,35 @@ class Scheduler:
         return True
 
     def run_until(self, time_us: int) -> None:
-        """Run all events with timestamp <= ``time_us``; advance time there."""
+        """Run all events with timestamp <= ``time_us``; advance time there.
+
+        One pop per event: the loop drops tombstones at the head of the
+        ready heap, stops at the first live entry past ``time_us``, and
+        otherwise pops and fires it inline — the order and bookkeeping of
+        :meth:`_peek_time` followed by :meth:`step`, without their calls.
+        """
+        heappop = heapq.heappop
         while True:
-            head = self._peek_time()
-            if head is None or head > time_us:
+            # Re-read every pass: a callback's cancel may compact the heap
+            # into a new list.
+            ready = self._ready
+            if not ready and not self._refill_ready():
                 break
-            self.step()
+            head_us, seq, event = ready[0]
+            if event.cancelled:
+                heappop(ready)
+                self._dead -= 1
+                continue
+            if head_us > time_us:
+                break
+            heappop(ready)
+            self._now_us = head_us
+            self._events_fired += 1
+            self._live -= 1
+            event.fired = True
+            if self.fire_log is not None:
+                self.fire_log.append((event.label, head_us, seq))
+            event.callback()
         if self._now_us < time_us:
             self._now_us = time_us
 

@@ -19,9 +19,10 @@ benchmark harness can charge OpenSLP-like library costs (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
-from ...net import Endpoint, MEMO_MISS, Node, Timer
+from ...net import Endpoint, MEMO_MISS, Node
 from .attributes import parse_attributes, serialize_attributes
 from .constants import (
     DA_SERVICE_TYPE,
@@ -112,13 +113,19 @@ class SlpRegistration:
             return False
         if not self.service_type.matches(wanted):
             return False
-        if request.scopes and not set(s.upper() for s in request.scopes) & set(
-            s.upper() for s in self.scopes
+        if request.scopes and _upper_scopes(tuple(request.scopes)).isdisjoint(
+            _upper_scopes(tuple(self.scopes))
         ):
             return False
         if request.predicate:
             return predicate_matches(request.predicate, self.attributes)
         return True
+
+
+@lru_cache(maxsize=1024)
+def _upper_scopes(scopes: tuple[str, ...]) -> frozenset[str]:
+    """Upper-cased scope names: scopes compare case-insensitively."""
+    return frozenset(s.upper() for s in scopes)
 
 
 class PendingSearch:
@@ -129,11 +136,16 @@ class PendingSearch:
         self.xid = xid
         self.started_at_us = started_at_us
         self.results: list[UrlEntry] = []
+        self._seen_urls: set[str] = set()
         self.responders: list[str] = []
         self.completed = False
         self.first_reply_at_us: Optional[int] = None
         self.on_first: Optional[Callable[[UrlEntry], None]] = None
         self.on_complete: Optional[Callable[["PendingSearch"], None]] = None
+        self._wait_us = 0
+        #: The convergence timeout's scheduler entry (cancelled on an
+        #: early finish).
+        self._timer = None
 
     @property
     def first_latency_us(self) -> Optional[int]:
@@ -142,14 +154,21 @@ class PendingSearch:
         return self.first_reply_at_us - self.started_at_us
 
     def _add(self, entries: tuple[UrlEntry, ...], responder: str, now_us: int) -> None:
-        fresh = [e for e in entries if e.url not in {r.url for r in self.results}]
-        self.results.extend(fresh)
+        # First sighting of a URL wins, across replies and within one.
+        seen = self._seen_urls
+        for entry in entries:
+            if entry.url not in seen:
+                seen.add(entry.url)
+                self.results.append(entry)
         if responder not in self.responders:
             self.responders.append(responder)
         if self.first_reply_at_us is None and entries:
             self.first_reply_at_us = now_us
             if self.on_first is not None:
                 self.on_first(entries[0])
+
+    def _expire(self) -> None:
+        self._agent._finish(self.xid)
 
     def _complete(self) -> None:
         if self.completed:
@@ -170,6 +189,7 @@ class _SlpEndpointBase:
         self._socket.on_datagram(self._on_datagram)
         self.decode_errors = 0
         self._parse_counter = node.network.parse_counter("slp")
+        self._multicast = Endpoint(self.config.multicast_group, self.config.port)
 
     @property
     def address(self) -> str:
@@ -188,7 +208,7 @@ class _SlpEndpointBase:
         )
 
     def _send_multicast(self, message: SlpMessage) -> None:
-        self._send(message, Endpoint(self.config.multicast_group, self.config.port))
+        self._send(message, self._multicast)
 
     #: Per-frame memo key for the shared wire decode (all SLP endpoints on
     #: a segment hear the same multicast frame; the first decodes, the
@@ -270,7 +290,7 @@ class ServiceAgent(_SlpEndpointBase):
                 attr_list=serialize_attributes(registration.attributes),
             )
             delay = self.config.timings.advert_build_us
-            self.node.schedule(delay, lambda a=advert: self._send_multicast(a))
+            self.node.post(delay, lambda a=advert: self._send_multicast(a))
 
     def _register_with_da(self, registration: SlpRegistration) -> None:
         assert self._known_da is not None
@@ -314,7 +334,7 @@ class ServiceAgent(_SlpEndpointBase):
             header=Header(FunctionId.SRVTYPERPLY, xid=request.header.xid),
             service_types=tuple(types),
         )
-        self.node.schedule(self.config.timings.match_us, lambda: self._send(reply, source))
+        self.node.post(self.config.timings.match_us, lambda: self._send(reply, source))
 
     def _handle_request(self, request: SrvRqst, source: Endpoint, was_multicast: bool) -> None:
         if self.address in request.prlist:
@@ -333,7 +353,7 @@ class ServiceAgent(_SlpEndpointBase):
             url_entries=tuple(UrlEntry(r.url, r.lifetime_s) for r in matching),
         )
         self.requests_answered += 1
-        self.node.schedule(self.config.timings.match_us, lambda: self._send(reply, source))
+        self.node.post(self.config.timings.match_us, lambda: self._send(reply, source))
 
     def _handle_attr_request(self, request: AttrRqst, source: Endpoint) -> None:
         target = None
@@ -362,7 +382,7 @@ class ServiceAgent(_SlpEndpointBase):
                 header=Header(FunctionId.ATTRRPLY, xid=request.header.xid),
                 attr_list=serialize_attributes(attrs),
             )
-        self.node.schedule(self.config.timings.match_us, lambda: self._send(reply, source))
+        self.node.post(self.config.timings.match_us, lambda: self._send(reply, source))
 
 
 def _authority_matches(requested: str, service_type: ServiceType) -> bool:
@@ -402,7 +422,6 @@ class UserAgent(_SlpEndpointBase):
         self._socket.set_receive_filter(peek_function_id, _UA_ADMITTED)
         self._next_xid = 1
         self._pending: dict[int, PendingSearch] = {}
-        self._timers: dict[int, Timer] = {}
         self._attr_callbacks: dict[int, Callable[[dict], None]] = {}
         self._type_callbacks: dict[int, Callable[[tuple[str, ...]], None]] = {}
         self._known_da: Optional[Endpoint] = None
@@ -430,7 +449,8 @@ class UserAgent(_SlpEndpointBase):
         fires, or immediately after a unicast DA reply.
         """
         xid = self._allocate_xid()
-        search = PendingSearch(self, xid, self.node.now_us)
+        scheduler = self.node.network.scheduler_for(self.node)
+        search = PendingSearch(self, xid, scheduler.now_us)
         search.on_complete = on_complete
         search.on_first = on_first
         self._pending[xid] = search
@@ -441,32 +461,30 @@ class UserAgent(_SlpEndpointBase):
             scopes=scopes if scopes is not None else self.config.scopes,
             predicate=predicate,
         )
-        wait = wait_us if wait_us is not None else self.config.wait_us
-
-        def transmit(attempt: int, request: SrvRqst) -> None:
-            if search.completed:
-                return
-            if self._known_da is not None:
-                unicast = replace(request, header=request.header.with_flags(0))
-                self._send(unicast, self._known_da)
-            else:
-                self._send_multicast(request)
-            if attempt < self.config.retries:
-                interval = max(wait // (self.config.retries + 1), 1)
-                self.node.schedule(
-                    interval,
-                    lambda: transmit(
-                        attempt + 1, replace(request, prlist=tuple(search.responders))
-                    ),
-                )
-
+        search._wait_us = wait = wait_us if wait_us is not None else self.config.wait_us
         build_delay = self.config.timings.request_build_us
-        self.node.schedule(build_delay, lambda: transmit(0, request))
-
-        timer = Timer(self.node.network.scheduler_for(self.node), lambda: self._finish(xid))
-        timer.start(build_delay + wait)
-        self._timers[xid] = timer
+        scheduler.post(build_delay, lambda: self._transmit(search, request, 0))
+        search._timer = scheduler.schedule(build_delay + wait, search._expire, label="timer")
         return search
+
+    def _transmit(self, search: PendingSearch, request: SrvRqst, attempt: int) -> None:
+        """Send one attempt of a search's request and post the next one."""
+        if search.completed:
+            return
+        if self._known_da is not None:
+            unicast = replace(request, header=request.header.with_flags(0))
+            self._send(unicast, self._known_da)
+        else:
+            self._send(request, self._multicast)
+        retries = self.config.retries
+        if attempt < retries:
+            interval = max(search._wait_us // (retries + 1), 1)
+            self.node.post(
+                interval,
+                lambda: self._transmit(
+                    search, replace(request, prlist=tuple(search.responders)), attempt + 1
+                ),
+            )
 
     def find_attributes(
         self,
@@ -483,7 +501,7 @@ class UserAgent(_SlpEndpointBase):
         )
         if on_reply is not None:
             self._attr_callbacks[xid] = on_reply
-        self.node.schedule(
+        self.node.post(
             self.config.timings.request_build_us, lambda: self._send_multicast(request)
         )
         return xid
@@ -502,7 +520,7 @@ class UserAgent(_SlpEndpointBase):
         )
         if on_reply is not None:
             self._type_callbacks[xid] = on_reply
-        self.node.schedule(
+        self.node.post(
             self.config.timings.request_build_us, lambda: self._send_multicast(request)
         )
         return xid
@@ -514,10 +532,10 @@ class UserAgent(_SlpEndpointBase):
 
     def _finish(self, xid: int) -> None:
         search = self._pending.pop(xid, None)
-        timer = self._timers.pop(xid, None)
-        if timer is not None:
-            timer.cancel()
         if search is not None:
+            if search._timer is not None:
+                search._timer.cancel()
+                search._timer = None
             search._complete()
 
     def _handle(self, message: SlpMessage, source: Endpoint, was_multicast: bool) -> None:
@@ -536,17 +554,17 @@ class UserAgent(_SlpEndpointBase):
                     # Unicast DA interaction: a single reply is conclusive.
                     self._finish(message.header.xid)
 
-            self.node.schedule(delay, deliver)
+            self.node.post(delay, deliver)
         elif isinstance(message, AttrRply):
             callback = self._attr_callbacks.pop(message.header.xid, None)
             if callback is not None:
                 attrs = parse_attributes(message.attr_list)
-                self.node.schedule(self.config.timings.reply_parse_us, lambda: callback(attrs))
+                self.node.post(self.config.timings.reply_parse_us, lambda: callback(attrs))
         elif isinstance(message, SrvTypeRply):
             type_callback = self._type_callbacks.pop(message.header.xid, None)
             if type_callback is not None:
                 types = message.service_types
-                self.node.schedule(
+                self.node.post(
                     self.config.timings.reply_parse_us, lambda: type_callback(types)
                 )
         elif isinstance(message, DAAdvert):
@@ -624,7 +642,7 @@ class DirectoryAgent(_SlpEndpointBase):
             )
             self.registrations_accepted += 1
         ack = SrvAck(header=Header(FunctionId.SRVACK, xid=message.header.xid), error_code=error)
-        self.node.schedule(self.config.timings.register_us, lambda: self._send(ack, source))
+        self.node.post(self.config.timings.register_us, lambda: self._send(ack, source))
 
     def _handle_request(self, request: SrvRqst, source: Endpoint, was_multicast: bool) -> None:
         if self.address in request.prlist:
@@ -639,7 +657,7 @@ class DirectoryAgent(_SlpEndpointBase):
             header=Header(FunctionId.SRVRPLY, xid=request.header.xid),
             url_entries=tuple(UrlEntry(r.url, r.lifetime_s) for r in matching),
         )
-        self.node.schedule(self.config.timings.match_us, lambda: self._send(reply, source))
+        self.node.post(self.config.timings.match_us, lambda: self._send(reply, source))
 
     def send_advert_to(self, destination: Endpoint) -> None:
         advert = DAAdvert(

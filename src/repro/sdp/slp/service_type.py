@@ -9,6 +9,7 @@ concrete type matches only that concrete type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import SlpServiceTypeError
 
@@ -33,11 +34,14 @@ class ServiceType:
     naming_authority: str = ""
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def parse(cls, text: str) -> "ServiceType":
         """Parse ``service:abstract[.na][:concrete]``.
 
         The ``service:`` prefix is optional on input (some clients omit it)
-        but always present in :meth:`render` output.
+        but always present in :meth:`render` output.  Results are memoized
+        (instances are frozen, so callers can share them); a malformed
+        string raises on every call, since exceptions are never cached.
         """
         if not text or not text.strip():
             raise SlpServiceTypeError("empty service type")

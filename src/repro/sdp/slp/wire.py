@@ -171,8 +171,78 @@ def _encode_header(writer: _Writer, header: Header, body: bytes) -> bytes:
 WIRE_MEMO_KEY = "slp-wire"
 
 
+#: Entries each encode-once cache holds before its oldest entry is evicted.
+_CACHE_MAX = 1024
+
+#: Body bytes of recently encoded SrvRqst/SrvRply messages, keyed by the
+#: message type and its body fields; every entry came from a successful
+#: reference encode.
+_BODIES: dict[tuple, bytes] = {}
+
+#: ``(bytes before the XID, language part)`` of a header, keyed by
+#: ``(function_id, flags, language_tag, body length)``.
+_PREFIXES: dict[tuple, tuple[bytes, bytes]] = {}
+
+#: Packs the XID through ``struct`` as the reference does, so an XID of
+#: the wrong type fails with the same exception on both paths.
+_XID = struct.Struct("!H")
+
+
+def _remember(cache: dict, key: tuple, value) -> None:
+    if key not in cache and len(cache) >= _CACHE_MAX:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
 def encode(message: SlpMessage) -> bytes:
-    """Render any SLP message dataclass to its binary wire form."""
+    """Render any SLP message dataclass to its binary wire form.
+
+    ``SrvRqst`` and ``SrvRply`` are encoded once per distinct body: a
+    repeat differs only in its XID, so the frame is spliced together from
+    the cached header prefix, the XID, the language tag and the cached
+    body.  Caches fill only from a successful :func:`_encode_reference`
+    run, so a message it rejects is rejected here too; every other type
+    goes through the reference encoder directly.
+    """
+    cls = type(message)
+    if cls is SrvRqst:
+        key = (cls, message.prlist, message.service_type, message.scopes,
+               message.predicate, message.spi)
+    elif cls is SrvRply:
+        key = (cls, message.error_code, message.url_entries)
+    else:
+        return _encode_reference(message)
+    header = message.header
+    xid = header.xid
+    try:
+        body = _BODIES.get(key)
+    except TypeError:  # an unhashable field (a list of scopes, say)
+        return _encode_reference(message)
+    if body is not None and 0 <= xid <= 0xFFFF:
+        parts = _PREFIXES.get(
+            (header.function_id, header.flags, header.language_tag, len(body))
+        )
+        if parts is not None:
+            return parts[0] + _XID.pack(xid) + parts[1] + body
+    frame = _encode_reference(message)
+    # Split the fresh frame at the XID (byte 10) and the end of the
+    # language tag to seed both caches.
+    lang_end = 14 + (frame[12] << 8 | frame[13])
+    body = frame[lang_end:]
+    _remember(_BODIES, key, body)
+    _remember(
+        _PREFIXES,
+        (header.function_id, header.flags, header.language_tag, len(body)),
+        (frame[:10], frame[12:lang_end]),
+    )
+    return frame
+
+
+def _encode_reference(message: SlpMessage) -> bytes:
+    """The reference encoder: every field written through :class:`_Writer`.
+
+    :func:`encode` must produce exactly these bytes for every message.
+    """
     writer = _Writer()
     header = message.header
     fid = header.function_id

@@ -5,10 +5,12 @@ import pytest
 from repro.net import LatencyModel, Network
 from repro.sdp.slp import (
     DirectoryAgent,
+    PendingSearch,
     ServiceAgent,
     ServiceType,
     SlpConfig,
     SlpRegistration,
+    UrlEntry,
     UserAgent,
 )
 
@@ -287,3 +289,34 @@ class TestRobustness:
         ua.find_services("service:clock", on_complete=done.append)
         net.run()
         assert done[0].first_latency_us < 1_000
+
+
+class TestReplyMerging:
+    """``PendingSearch`` keeps each URL once, in arrival order."""
+
+    A = UrlEntry("service:clock://a")
+    B = UrlEntry("service:clock://b")
+
+    def test_duplicates_within_one_reply_are_kept_once(self):
+        search = PendingSearch(agent=None, xid=1, started_at_us=0)
+        search._add((self.A, self.A), "192.168.1.2", 5)
+        search._add((self.A,), "192.168.1.3", 6)
+        assert search.results == [self.A]
+        assert search.responders == ["192.168.1.2", "192.168.1.3"]
+
+    def test_arrival_order_is_preserved_across_replies(self):
+        search = PendingSearch(agent=None, xid=1, started_at_us=0)
+        search._add((self.B, self.A, self.B), "192.168.1.2", 5)
+        search._add((self.A, UrlEntry("service:clock://c"), self.B), "192.168.1.3", 6)
+        assert [e.url for e in search.results] == [
+            "service:clock://b", "service:clock://a", "service:clock://c"
+        ]
+        assert search.first_reply_at_us == 5
+
+    def test_service_agent_listing_a_url_twice(self, net):
+        ua, sa = make_pair(net)
+        sa.register(clock_registration(sa.address))
+        done = []
+        ua.find_services("service:clock", on_complete=done.append)
+        net.run()
+        assert len(done[0].results) == 1

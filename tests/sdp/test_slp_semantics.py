@@ -1,14 +1,20 @@
 """Tests for SLP attributes, predicates, and service-type matching."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sdp.slp import (
+    FunctionId,
+    Header,
     ServiceType,
     SlpDecodeError,
     SlpPredicateError,
+    SlpRegistration,
     SlpServiceTypeError,
+    SrvRqst,
     parse_attributes,
     parse_predicate,
     predicate_matches,
@@ -166,3 +172,86 @@ class TestServiceType:
     def test_malformed(self, bad):
         with pytest.raises(SlpServiceTypeError):
             ServiceType.parse(bad)
+
+    @pytest.mark.parametrize("bad", ["", "service:", "service:a:b:c", "service:cl ock", "service:cl/ock"])
+    def test_malformed_raises_on_every_call(self, bad):
+        # parse is memoized; an error must never be cached as a result.
+        for _ in range(3):
+            with pytest.raises(SlpServiceTypeError):
+                ServiceType.parse(bad)
+
+    def test_equal_strings_share_one_frozen_result(self):
+        text = "".join(["service:", "clock", ":soap"])
+        first = ServiceType.parse(text)
+        again = ServiceType.parse("service:clock:soap")
+        assert first == again
+        assert first is again
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.concrete = "http"
+
+    def test_memo_is_bounded(self):
+        for i in range(ServiceType.parse.cache_info().maxsize + 10):
+            ServiceType.parse(f"service:t{i}")
+        info = ServiceType.parse.cache_info()
+        assert info.currsize <= info.maxsize
+
+
+def _legacy_matches(registration, request):
+    """``SlpRegistration.matches_request`` as it was: two sets per call."""
+    try:
+        wanted = ServiceType.parse(request.service_type)
+    except Exception:
+        return False
+    if not registration.service_type.matches(wanted):
+        return False
+    if request.scopes and not set(s.upper() for s in request.scopes) & set(
+        s.upper() for s in registration.scopes
+    ):
+        return False
+    if request.predicate:
+        return predicate_matches(request.predicate, registration.attributes)
+    return True
+
+
+_SCOPE = st.sampled_from(["DEFAULT", "default", "Default", "home", "HOME", "Lab", "lab2"])
+
+
+class TestRegistrationMatching:
+    def _request(self, service_type="service:clock", scopes=("DEFAULT",), predicate=""):
+        return SrvRqst(header=Header(FunctionId.SRVRQST), service_type=service_type,
+                       scopes=scopes, predicate=predicate)
+
+    def _registration(self, scopes=("DEFAULT",)):
+        return SlpRegistration(url="service:clock:soap://h", scopes=scopes,
+                               service_type=ServiceType.parse("service:clock:soap"),
+                               attributes={"model": "CyberClock"})
+
+    @pytest.mark.parametrize(
+        "offered,requested,expected",
+        [
+            (("DEFAULT",), ("default",), True),
+            (("Home", "Lab"), ("LAB",), True),
+            (("home",), ("DEFAULT", "Other"), False),
+            (("home",), (), True),  # empty request scopes match any
+            ((), (), True),
+            ((), ("DEFAULT",), False),
+        ],
+    )
+    def test_mixed_case_and_empty_scopes(self, offered, requested, expected):
+        registration = self._registration(offered)
+        request = self._request(scopes=requested)
+        assert registration.matches_request(request) is expected
+        assert _legacy_matches(registration, request) is expected
+
+    @given(
+        offered=st.lists(_SCOPE, max_size=3).map(tuple),
+        requested=st.lists(_SCOPE, max_size=3).map(tuple),
+        service_type=st.sampled_from(["service:clock", "service:clock:soap",
+                                      "service:clock:http", "service:printer", "bad type",
+                                      "SERVICE:Clock"]),
+        predicate=st.sampled_from(["", "(model=Cyber*)", "(model=Other)"]),
+    )
+    def test_same_answers_as_before(self, offered, requested, service_type, predicate):
+        registration = self._registration(offered)
+        request = self._request(service_type, requested, predicate)
+        assert registration.matches_request(request) == _legacy_matches(registration, request)
