@@ -14,8 +14,10 @@ import statistics
 import pytest
 
 from conftest import report
-from repro.bench import CostModel, PAPER_TESTBED, run_trials, slp_to_upnp_service_side
+from repro.bench import CostModel, PAPER_TESTBED, run_trials
 from repro.core.unit import IndissTimings
+from repro.world import run_world
+from repro.world.scenarios import slp_to_upnp_service_side_spec
 
 
 def free_indiss_costs() -> CostModel:
@@ -29,15 +31,18 @@ def free_indiss_costs() -> CostModel:
 
 @pytest.fixture(scope="module")
 def medians():
-    calibrated = statistics.median(run_trials(slp_to_upnp_service_side, trials=15))
-    free = statistics.median(
-        run_trials(slp_to_upnp_service_side, trials=15, costs=free_indiss_costs())
-    )
+    spec = slp_to_upnp_service_side_spec()
+    calibrated = statistics.median(run_trials(spec, trials=15))
+    free = statistics.median(run_trials(spec, trials=15, costs=free_indiss_costs()))
     return calibrated, free
 
 
 def test_indiss_overhead(benchmark, medians):
-    outcome = benchmark(lambda: slp_to_upnp_service_side(seed=1, costs=free_indiss_costs()))
+    outcome = benchmark(
+        lambda: run_world(
+            slp_to_upnp_service_side_spec(), seed=1, costs=free_indiss_costs()
+        )
+    )
     assert outcome.results == 1
     calibrated, free = medians
     overhead_ms = calibrated - free

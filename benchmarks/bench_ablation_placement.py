@@ -10,25 +10,22 @@ legs, so it should cost at least as much as the client-side placement.
 import pytest
 
 from conftest import report
-from repro.bench import (
-    format_measurements,
-    measure,
-)
+from repro.bench import format_measurements, measure
+from repro.world import run_world
+from repro.world.scenarios import slp_to_upnp_gateway_spec
 
 
 @pytest.fixture(scope="module")
 def medians():
     return {
-        "service": measure("fig8_slp_to_upnp_service_side"),
-        "client": measure("fig9_slp_to_upnp_client_side"),
-        "gateway": measure("gateway_slp_to_upnp"),
+        "service": measure("slp_to_upnp_service_side"),
+        "client": measure("slp_to_upnp_client_side"),
+        "gateway": measure("slp_to_upnp_gateway"),
     }
 
 
 def test_gateway_translation(benchmark, medians):
-    from repro.bench import slp_to_upnp_gateway
-
-    outcome = benchmark(lambda: slp_to_upnp_gateway(seed=1))
+    outcome = benchmark(lambda: run_world(slp_to_upnp_gateway_spec(), seed=1))
     assert outcome.results == 1
     assert medians["service"].median_ms < medians["gateway"].median_ms
     report(

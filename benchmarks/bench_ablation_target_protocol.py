@@ -13,25 +13,22 @@ import statistics
 import pytest
 
 from conftest import report
-from repro.bench import (
-    measure,
-    run_trials,
-    slp_to_jini_gateway,
-    slp_to_upnp_gateway,
-)
+from repro.bench import measure, run_trials
+from repro.world import run_world
+from repro.world.scenarios import slp_to_jini_gateway_spec, slp_to_upnp_gateway_spec
 
 
 @pytest.fixture(scope="module")
 def medians():
     return {
-        "native_slp": measure("fig7_native_slp"),
-        "to_upnp": statistics.median(run_trials(slp_to_upnp_gateway, trials=15)),
-        "to_jini": statistics.median(run_trials(slp_to_jini_gateway, trials=15)),
+        "native_slp": measure("native_slp"),
+        "to_upnp": statistics.median(run_trials(slp_to_upnp_gateway_spec(), trials=15)),
+        "to_jini": statistics.median(run_trials(slp_to_jini_gateway_spec(), trials=15)),
     }
 
 
 def test_slp_to_jini_gateway(benchmark, medians):
-    outcome = benchmark(lambda: slp_to_jini_gateway(seed=1))
+    outcome = benchmark(lambda: run_world(slp_to_jini_gateway_spec(), seed=1))
     assert outcome.results == 1
     # Jini has no responder-delay semantics: the translated path is a TCP
     # lookup and lands well under one UPnP cycle.

@@ -49,14 +49,14 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bench.scenarios import (
-    district_grid,
-    media_city,
-    metro_backbone,
-    sharded_backbone,
-)
+from repro.world import run_world
 from repro.world.engine import run_world_mp
-from repro.world.scenarios import district_grid_spec
+from repro.world.scenarios import (
+    district_grid_spec,
+    media_city_spec,
+    metro_backbone_spec,
+    sharded_backbone_spec,
+)
 
 RESULT_FILE = "BENCH_core.json"
 BASELINE_FILE = Path(__file__).parent / "BENCH_core.baseline.json"
@@ -72,10 +72,10 @@ PROFILE = False
 PROFILE_LINES = 25
 
 
-def _profile_tier(name: str, fn, **kwargs) -> None:
+def _profile_tier(name: str, spec, **run_kwargs) -> None:
     profiler = cProfile.Profile()
     profiler.enable()
-    fn(**kwargs)
+    run_world(spec, **run_kwargs)
     profiler.disable()
     sink = io.StringIO()
     stats = pstats.Stats(profiler, stream=sink)
@@ -108,21 +108,22 @@ def _machine_ref_score(loops: int = 400_000) -> float:
     return loops / best
 
 
-def _measure(fn, runs: int = 3, name: str | None = None, **kwargs) -> dict:
-    """Run one scenario ``runs`` times, reporting the best run.
+def _measure(spec, runs: int = 3, name: str | None = None, **run_kwargs) -> dict:
+    """Run one scenario spec ``runs`` times, reporting the best run.
 
     Virtual-time behaviour is deterministic (identical events fired every
     run); only wall time varies with host noise, so best-of-N is the
     stable estimator of what the code costs.  Under ``--profile``, a tier
-    that was given a ``name`` gets one extra profiled run.
+    that was given a ``name`` gets one extra profiled run.  ``run_kwargs``
+    (seed, engine, record, parse_once) go to ``run_world``.
     """
     if PROFILE and name:
-        _profile_tier(name, fn, **kwargs)
+        _profile_tier(name, spec, **run_kwargs)
     best_wall = None
     outcome = None
     for _ in range(max(1, runs)):
         start = time.perf_counter()
-        outcome = fn(**kwargs)
+        outcome = run_world(spec, **run_kwargs)
         wall_s = time.perf_counter() - start
         if best_wall is None or wall_s < best_wall:
             best_wall = wall_s
@@ -172,20 +173,20 @@ def run_backbone_sizes(sizes=(500, 2000), chatter_per_leaf: int = 8) -> dict:
     for nodes in sizes:
         key = f"sharded_backbone_{nodes}"
         results[key] = _measure(
-            sharded_backbone, seed=0, nodes=nodes,
-            chatter_per_leaf=chatter_per_leaf, name=key,
+            sharded_backbone_spec(nodes=nodes, chatter_per_leaf=chatter_per_leaf),
+            seed=0, name=key,
         )
     # The perf-gate workload: dense edge chatter, where the pre-overhaul
     # core degraded super-linearly (per-receiver re-parse of every frame).
     results[GATE_KEY] = _measure(
-        sharded_backbone, seed=0, nodes=2000, chatter_per_leaf=16, name=GATE_KEY
+        sharded_backbone_spec(nodes=2000, chatter_per_leaf=16), seed=0, name=GATE_KEY
     )
     return results
 
 
 def run_metro(nodes: int = 5000) -> dict:
     key = f"metro_backbone_{nodes}"
-    return {key: _measure(metro_backbone, seed=0, nodes=nodes, runs=2, name=key)}
+    return {key: _measure(metro_backbone_spec(nodes=nodes), seed=0, runs=2, name=key)}
 
 
 def run_media_city(nodes: int = 3000) -> dict:
@@ -197,11 +198,10 @@ def run_media_city(nodes: int = 3000) -> dict:
     ratio is the measured price of per-receiver re-parsing.
     """
     key = f"media_city_{nodes}"
+    spec = media_city_spec(nodes=nodes)
     return {
-        key: _measure(media_city, seed=0, nodes=nodes, runs=2, name=key),
-        f"{key}_noshare": _measure(
-            media_city, seed=0, nodes=nodes, runs=2, parse_once=False
-        ),
+        key: _measure(spec, seed=0, runs=2, name=key),
+        f"{key}_noshare": _measure(spec, seed=0, runs=2, parse_once=False),
     }
 
 
@@ -227,25 +227,18 @@ def run_district_grid(nodes: int = 20_000) -> dict:
     driver's own wall clock (build + fork + barriers + merge).
     """
     key = f"district_grid_{nodes}"
+    spec = district_grid_spec(nodes=nodes, **DISTRICT_GRID_PARAMS)
     # One unmeasured warm-up at full scale: the tier's first 20k-node
     # build pays allocator/page-cache costs the later rows don't, which
     # would otherwise bias the traced-vs-untraced delta below.
-    district_grid(seed=0, nodes=nodes, **DISTRICT_GRID_PARAMS)
-    results = {
-        key: _measure(
-            district_grid, seed=0, nodes=nodes, name=key, runs=2,
-            **DISTRICT_GRID_PARAMS,
-        ),
-    }
+    run_world(spec, seed=0)
+    results = {key: _measure(spec, seed=0, name=key, runs=2)}
     # The flight-recorder A/B row: the identical single-wheel run with
     # metrics + trace recording on, measured back-to-back with the
     # untraced baseline so host drift doesn't pollute the delta.
     # ``overhead_vs_untraced`` is the fractional wall-time cost of
     # recording (the ISSUE budget is <=10%).
-    traced = _measure(
-        district_grid, seed=0, nodes=nodes, record=True, runs=2,
-        **DISTRICT_GRID_PARAMS,
-    )
+    traced = _measure(spec, seed=0, record=True, runs=2)
     traced["recording"] = True
     base_wall = results[key]["wall_s"]
     traced["overhead_vs_untraced"] = (
@@ -253,10 +246,9 @@ def run_district_grid(nodes: int = 20_000) -> dict:
     )
     results[f"{key}_traced"] = traced
     results[f"{key}_partitioned"] = _measure(
-        district_grid, seed=0, nodes=nodes, engine="partitioned", runs=2,
-        name=f"{key}_partitioned", **DISTRICT_GRID_PARAMS,
+        spec, seed=0, engine="partitioned", runs=2, name=f"{key}_partitioned"
     )
-    mp = run_world_mp(district_grid_spec(nodes=nodes, **DISTRICT_GRID_PARAMS), seed=0)
+    mp = run_world_mp(spec, seed=0)
     results[f"{key}_mp"] = {
         "wall_s": mp["wall_s"],
         "events_fired": mp["events_fired"],
@@ -342,57 +334,43 @@ def check_baseline(results: dict, baseline_path: Path = BASELINE_FILE) -> list[s
 def test_core_hotpaths_smoke():
     """Small-scale sanity: the scale scenarios run, chatter gets answers,
     and the hot-path counters are present and sane."""
-    row = _measure(sharded_backbone, seed=0, nodes=300, chatter_per_leaf=2)
+    row = _measure(sharded_backbone_spec(nodes=300, chatter_per_leaf=2), seed=0)
     assert row["events_fired"] > 500
     assert row["chatter_searches_completed"] >= 5
     assert row["chatter_found_rate"] > 0.8
     metro = _measure(
-        metro_backbone,
+        metro_backbone_spec(
+            districts=2,
+            leaves_per_district=3,
+            nodes=400,
+            chatter_per_leaf=2,
+            run_us=2_000_000,
+        ),
         seed=0,
-        districts=2,
-        leaves_per_district=3,
-        nodes=400,
-        chatter_per_leaf=2,
-        run_us=2_000_000,
     )
     assert metro["results"] >= 1, "intra-district probe found nothing"
     assert metro["chatter_found_rate"] > 0.5
-    media = _measure(
-        media_city,
-        seed=0,
+    media_spec = media_city_spec(
         districts=2,
         leaves_per_district=3,
         nodes=250,
         devices_per_leaf=3,
         cp_per_leaf=2,
         run_us=2_000_000,
-        runs=1,
     )
+    media = _measure(media_spec, seed=0, runs=1)
     assert media["results"] >= 1, "control-point probe found nothing"
     assert media["parse_dedup_rate"] >= 0.6
     assert media["parse_dedup_rate_upnp"] >= 0.6
     # The A/B variant fires the identical virtual-time schedule.
-    noshare = _measure(
-        media_city,
-        seed=0,
-        districts=2,
-        leaves_per_district=3,
-        nodes=250,
-        devices_per_leaf=3,
-        cp_per_leaf=2,
-        run_us=2_000_000,
-        runs=1,
-        parse_once=False,
-    )
+    noshare = _measure(media_spec, seed=0, runs=1, parse_once=False)
     assert noshare["events_fired"] == media["events_fired"]
     assert noshare["parse_dedup_rate"] == 0.0
     # The partitioned engine fires the identical schedule on the
     # multi-district world (the full parity suite lives in tests/world).
-    grid_params = dict(districts=3, leaves_per_district=2, run_us=2_000_000)
-    single = _measure(district_grid, seed=0, runs=1, **grid_params)
-    sharded = _measure(
-        district_grid, seed=0, runs=1, engine="partitioned", **grid_params
-    )
+    grid = district_grid_spec(districts=3, leaves_per_district=2, run_us=2_000_000)
+    single = _measure(grid, seed=0, runs=1)
+    sharded = _measure(grid, seed=0, runs=1, engine="partitioned")
     assert single["events_fired"] == sharded["events_fired"]
     assert single["ping_received"] == sharded["ping_received"] > 0
     assert single["chatter_found_rate"] > 0.8

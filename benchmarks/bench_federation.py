@@ -34,11 +34,12 @@ import statistics
 import sys
 from pathlib import Path
 
-from repro.bench.scenarios import (
-    crash_recovery,
-    federated_campus,
-    partitioned_campus,
-    sharded_backbone,
+from repro.world import run_world
+from repro.world.scenarios import (
+    crash_recovery_spec,
+    federated_campus_spec,
+    partitioned_campus_spec,
+    sharded_backbone_spec,
 )
 
 RESULT_FILE = "BENCH_federation.json"
@@ -67,10 +68,11 @@ def run_campus(trials: int = 3, segments: int = 6, nodes: int = 500) -> dict:
         latencies, translations, repeat_cache, repeat_trans, warm_lat, hit_rates = (
             [], [], [], [], [], []
         )
+        spec = federated_campus_spec(
+            segments=segments, nodes=nodes, federated=federated
+        )
         for seed in range(trials):
-            outcome = federated_campus(
-                seed=seed, segments=segments, nodes=nodes, federated=federated
-            )
+            outcome = run_world(spec, seed=seed)
             extras = outcome.extras
             latencies.append(outcome.latency_ms)
             translations.append(extras["query_translations"])
@@ -96,10 +98,11 @@ def run_backbone(trials: int = 3, members: int = 6, nodes: int = 800,
                  service_types: int = 4) -> dict:
     """Sharded dispatch over one backbone: warm + cold type families."""
     warm_lat, cold_lat, translations, elected, found = [], [], [], [], []
+    spec = sharded_backbone_spec(
+        members=members, nodes=nodes, service_types=service_types
+    )
     for seed in range(trials):
-        outcome = sharded_backbone(
-            seed=seed, members=members, nodes=nodes, service_types=service_types
-        )
+        outcome = run_world(spec, seed=seed)
         extras = outcome.extras
         per_type = extras["per_type"]
         warm_lat.extend(
@@ -128,7 +131,9 @@ def run_fleet_sweep(sizes=(4, 6, 8), nodes: int = 500, seed: int = 0) -> dict:
     """Duplicate suppression and cache hit rate as the fleet grows."""
     sweep = {}
     for segments in sizes:
-        outcome = federated_campus(seed=seed, segments=segments, nodes=nodes)
+        outcome = run_world(
+            federated_campus_spec(segments=segments, nodes=nodes), seed=seed
+        )
         extras = outcome.extras
         sweep[str(segments - 1)] = {
             "query_translations": extras["query_translations"],
@@ -227,8 +232,9 @@ def run_partition_cycle(trials: int = 2, segments: int = 4, nodes: int = 80) -> 
     on: lossy gossip link, catch-up, wire-carried elections)."""
     phases = {"pre": [], "during": [], "post": []}
     catchups, flaps, latencies = [], [], []
+    spec = partitioned_campus_spec(segments=segments, nodes=nodes)
     for seed in range(trials):
-        outcome = partitioned_campus(seed=seed, segments=segments, nodes=nodes)
+        outcome = run_world(spec, seed=seed)
         extras = outcome.extras
         for phase, hits in phases.items():
             hits.append(extras[f"{phase}_results"] >= 1)
@@ -490,9 +496,8 @@ def test_adversity_convergence():
 
 def test_adversity_determinism():
     """Same seed + same fault plan => identical ScenarioOutcome, twice."""
-    runs = [
-        partitioned_campus(seed=11, segments=4, nodes=60) for _ in range(2)
-    ]
+    spec = partitioned_campus_spec(segments=4, nodes=60)
+    runs = [run_world(spec, seed=11) for _ in range(2)]
     first, second = runs
     assert first.latency_ms == second.latency_ms
     assert first.results == second.results
@@ -523,8 +528,9 @@ def chaos_smoke() -> int:
     outcomes; the crash sweep must also pass its detection/availability
     gates.  Writes the sweep to ``BENCH_chaos_sweep.json``."""
     rows = []
+    spec = partitioned_campus_spec(segments=4, nodes=80)
     for attempt in range(2):
-        outcome = partitioned_campus(seed=3, segments=4, nodes=80)
+        outcome = run_world(spec, seed=3)
         rows.append({
             "latency_ms": outcome.latency_ms,
             "results": outcome.results,
@@ -554,9 +560,8 @@ def chaos_smoke() -> int:
         print("chaos smoke FAILED: two identically seeded crash/restart "
               "sweeps diverged")
         return 1
-    scenario_rows = [
-        crash_recovery(seed=5, segments=4, nodes=80).extras for _ in range(2)
-    ]
+    crash_spec = crash_recovery_spec(segments=4, nodes=80)
+    scenario_rows = [run_world(crash_spec, seed=5).extras for _ in range(2)]
     if scenario_rows[0] != scenario_rows[1]:
         print("chaos smoke FAILED: two identically seeded crash_recovery "
               "scenario runs diverged")

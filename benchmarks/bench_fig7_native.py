@@ -11,33 +11,29 @@ import statistics
 import pytest
 
 from conftest import report
-from repro.bench import (
-    Measurement,
-    format_measurements,
-    measure,
-    native_slp,
-    native_upnp,
-)
+from repro.bench import format_measurements, measure
+from repro.world import run_world
+from repro.world.scenarios import native_slp_spec, native_upnp_spec
 
 
 @pytest.fixture(scope="module")
 def medians():
     return {
-        "slp": measure("fig7_native_slp"),
-        "upnp": measure("fig7_native_upnp"),
+        "slp": measure("native_slp"),
+        "upnp": measure("native_upnp"),
     }
 
 
 def test_native_slp_search(benchmark, medians):
     """One full native SLP discovery in the simulated world."""
-    outcome = benchmark(lambda: native_slp(seed=1))
+    outcome = benchmark(lambda: run_world(native_slp_spec(), seed=1))
     assert outcome.results == 1
     assert medians["slp"].median_ms < 1.0  # paper: 0.7 ms
 
 
 def test_native_upnp_search(benchmark, medians):
     """One full native UPnP discovery in the simulated world."""
-    outcome = benchmark(lambda: native_upnp(seed=1))
+    outcome = benchmark(lambda: run_world(native_upnp_spec(), seed=1))
     assert outcome.results == 1
     # The headline shape: UPnP is orders of magnitude slower than SLP.
     assert medians["upnp"].median_ms / medians["slp"].median_ms > 20

@@ -10,25 +10,25 @@ because the local SLP exchange is negligible).
 import pytest
 
 from conftest import report
-from repro.bench import (
-    format_measurements,
-    measure,
-    slp_to_upnp_service_side,
-    upnp_to_slp_service_side,
+from repro.bench import format_measurements, measure
+from repro.world import run_world
+from repro.world.scenarios import (
+    slp_to_upnp_service_side_spec,
+    upnp_to_slp_service_side_spec,
 )
 
 
 @pytest.fixture(scope="module")
 def medians():
     return {
-        "native_upnp": measure("fig7_native_upnp"),
-        "slp_to_upnp": measure("fig8_slp_to_upnp_service_side"),
-        "upnp_to_slp": measure("fig8_upnp_to_slp_service_side"),
+        "native_upnp": measure("native_upnp"),
+        "slp_to_upnp": measure("slp_to_upnp_service_side"),
+        "upnp_to_slp": measure("upnp_to_slp_service_side"),
     }
 
 
 def test_slp_client_to_upnp_service(benchmark, medians):
-    outcome = benchmark(lambda: slp_to_upnp_service_side(seed=1))
+    outcome = benchmark(lambda: run_world(slp_to_upnp_service_side_spec(), seed=1))
     assert outcome.results == 1
     # Two local UPnP requests instead of one SSDP cycle (paper: 65 vs 40).
     ratio = medians["slp_to_upnp"].median_ms / medians["native_upnp"].median_ms
@@ -36,7 +36,7 @@ def test_slp_client_to_upnp_service(benchmark, medians):
 
 
 def test_upnp_client_to_slp_service(benchmark, medians):
-    outcome = benchmark(lambda: upnp_to_slp_service_side(seed=1))
+    outcome = benchmark(lambda: run_world(upnp_to_slp_service_side_spec(), seed=1))
     assert outcome.results == 1
     # "Corresponds exactly to a ... native UPnP" exchange (paper: 40 ms).
     ratio = medians["upnp_to_slp"].median_ms / medians["native_upnp"].median_ms

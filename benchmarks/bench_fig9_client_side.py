@@ -10,12 +10,11 @@ the paper's figure implies a warm cache).
 import pytest
 
 from conftest import report
-from repro.bench import (
-    format_measurements,
-    measure,
-    run_trials,
-    slp_to_upnp_client_side,
-    upnp_to_slp_client_side,
+from repro.bench import format_measurements, measure, run_trials
+from repro.world import run_world
+from repro.world.scenarios import (
+    slp_to_upnp_client_side_spec,
+    upnp_to_slp_client_side_spec,
 )
 import statistics
 
@@ -23,22 +22,22 @@ import statistics
 @pytest.fixture(scope="module")
 def medians():
     return {
-        "native_slp": measure("fig7_native_slp"),
-        "native_upnp": measure("fig7_native_upnp"),
-        "service_side": measure("fig8_slp_to_upnp_service_side"),
-        "slp_to_upnp": measure("fig9_slp_to_upnp_client_side"),
-        "upnp_to_slp_warm": measure("fig9_upnp_to_slp_client_side"),
+        "native_slp": measure("native_slp"),
+        "native_upnp": measure("native_upnp"),
+        "service_side": measure("slp_to_upnp_service_side"),
+        "slp_to_upnp": measure("slp_to_upnp_client_side"),
+        "upnp_to_slp_warm": measure("upnp_to_slp_client_side"),
     }
 
 
 @pytest.fixture(scope="module")
 def cold_median_ms():
-    latencies = run_trials(upnp_to_slp_client_side, trials=10, warm_cache=False)
+    latencies = run_trials(upnp_to_slp_client_side_spec(warm_cache=False), trials=10)
     return statistics.median(latencies)
 
 
 def test_slp_client_side_search(benchmark, medians):
-    outcome = benchmark(lambda: slp_to_upnp_client_side(seed=1))
+    outcome = benchmark(lambda: run_world(slp_to_upnp_client_side_spec(), seed=1))
     assert outcome.results == 1
     # "+15 ms": the two UPnP requests now cross the network.
     delta_ms = medians["slp_to_upnp"].median_ms - medians["service_side"].median_ms
@@ -46,7 +45,9 @@ def test_slp_client_side_search(benchmark, medians):
 
 
 def test_upnp_client_side_search_warm(benchmark, medians, cold_median_ms):
-    outcome = benchmark(lambda: upnp_to_slp_client_side(seed=1, warm_cache=True))
+    outcome = benchmark(
+        lambda: run_world(upnp_to_slp_client_side_spec(warm_cache=True), seed=1)
+    )
     assert outcome.results == 1
     # The best case: faster even than a native SLP search (paper: 0.12 ms).
     assert medians["upnp_to_slp_warm"].median_ms < medians["native_slp"].median_ms

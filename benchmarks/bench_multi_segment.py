@@ -17,8 +17,8 @@ from __future__ import annotations
 import statistics
 import sys
 
-from repro.bench.harness import run_trials
-from repro.bench.scenarios import SCENARIOS
+from repro.bench import run_trials
+from repro.world.scenarios import SCENARIO_SPECS
 
 MULTI_SEGMENT_SCENARIOS = ("multi_segment_home", "gateway_chain", "campus_fanout")
 
@@ -26,7 +26,7 @@ MULTI_SEGMENT_SCENARIOS = ("multi_segment_home", "gateway_chain", "campus_fanout
 def run(trials: int = 5) -> dict[str, float]:
     medians: dict[str, float] = {}
     for name in MULTI_SEGMENT_SCENARIOS:
-        latencies = run_trials(SCENARIOS[name], trials=trials)
+        latencies = run_trials(SCENARIO_SPECS[name](), trials=trials)
         medians[name] = statistics.median(latencies)
     return medians
 

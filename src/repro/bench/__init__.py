@@ -1,30 +1,19 @@
-"""Evaluation harness (S7 in DESIGN.md): calibration, scenarios, sizing."""
+"""Evaluation harness (S7 in DESIGN.md): calibration, trials, sizing.
 
-from .calibration import CostModel, PAPER_RESULTS_MS, PAPER_TABLE2, PAPER_TESTBED
-from .harness import DEFAULT_TRIALS, Measurement, measure, measure_all, run_trials
-from .reporting import format_measurements, format_table2
-from .scenarios import (
-    SCENARIOS,
-    SMALL_SCALE_OVERRIDES,
-    ScenarioOutcome,
-    campus_fanout,
-    churn_backbone,
-    district_sweep,
-    federated_campus,
-    gateway_chain,
-    media_city,
-    metro_backbone,
-    multi_segment_home,
-    native_slp,
-    native_upnp,
-    sharded_backbone,
-    slp_to_jini_gateway,
-    slp_to_upnp_client_side,
-    slp_to_upnp_gateway,
-    slp_to_upnp_service_side,
-    upnp_to_slp_client_side,
-    upnp_to_slp_service_side,
+Scenarios live in one place, :data:`repro.world.scenarios.SCENARIO_SPECS`;
+run one with :func:`repro.world.run_world` or measure it with
+:func:`measure`.
+"""
+
+from .calibration import (
+    CostModel,
+    PAPER_RESULTS_MS,
+    PAPER_SCENARIOS,
+    PAPER_TABLE2,
+    PAPER_TESTBED,
 )
+from .harness import DEFAULT_TRIALS, Measurement, measure, run_trials
+from .reporting import format_measurements, format_table2
 from .sizing import (
     InteropSizing,
     SizeReport,
@@ -41,37 +30,17 @@ __all__ = [
     "InteropSizing",
     "Measurement",
     "PAPER_RESULTS_MS",
+    "PAPER_SCENARIOS",
     "PAPER_TABLE2",
     "PAPER_TESTBED",
-    "SCENARIOS",
-    "SMALL_SCALE_OVERRIDES",
-    "ScenarioOutcome",
     "SizeReport",
-    "campus_fanout",
-    "churn_backbone",
     "count_classes",
     "count_ncss",
-    "district_sweep",
-    "federated_campus",
-    "gateway_chain",
-    "media_city",
-    "metro_backbone",
-    "sharded_backbone",
     "format_measurements",
     "format_table2",
     "indiss_size_reports",
     "interop_sizing",
     "measure",
-    "measure_all",
     "measure_path",
-    "multi_segment_home",
-    "native_slp",
-    "native_upnp",
     "run_trials",
-    "slp_to_jini_gateway",
-    "slp_to_upnp_client_side",
-    "slp_to_upnp_gateway",
-    "slp_to_upnp_service_side",
-    "upnp_to_slp_client_side",
-    "upnp_to_slp_service_side",
 ]

@@ -110,6 +110,17 @@ PAPER_RESULTS_MS = {
     "fig9_upnp_to_slp_client_side": 0.12,
 }
 
+#: The catalog scenario (``repro.world.scenarios.SCENARIO_SPECS``) each
+#: figure key above measures.
+PAPER_SCENARIOS = {
+    "fig7_native_slp": "native_slp",
+    "fig7_native_upnp": "native_upnp",
+    "fig8_slp_to_upnp_service_side": "slp_to_upnp_service_side",
+    "fig8_upnp_to_slp_service_side": "upnp_to_slp_service_side",
+    "fig9_slp_to_upnp_client_side": "slp_to_upnp_client_side",
+    "fig9_upnp_to_slp_client_side": "upnp_to_slp_client_side",
+}
+
 #: Paper Table 2 reference numbers.
 PAPER_TABLE2 = {
     "core_framework": {"kb": 44, "classes": 15, "ncss": 789},
@@ -126,4 +137,6 @@ PAPER_TABLE2 = {
 }
 
 
-__all__ = ["CostModel", "PAPER_TESTBED", "PAPER_RESULTS_MS", "PAPER_TABLE2"]
+__all__ = [
+    "CostModel", "PAPER_TESTBED", "PAPER_RESULTS_MS", "PAPER_SCENARIOS", "PAPER_TABLE2",
+]

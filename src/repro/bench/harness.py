@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Callable
 
-from .calibration import PAPER_RESULTS_MS
-from .scenarios import SCENARIOS, ScenarioOutcome
+from ..world import WorldSpec, run_world
+from ..world.scenarios import SCENARIO_SPECS
+from .calibration import PAPER_RESULTS_MS, PAPER_SCENARIOS
 
 #: The paper's trial count.
 DEFAULT_TRIALS = 30
@@ -36,39 +36,34 @@ class Measurement:
 
 
 def run_trials(
-    scenario: Callable[..., ScenarioOutcome],
-    trials: int = DEFAULT_TRIALS,
-    **kwargs,
+    spec: WorldSpec, trials: int = DEFAULT_TRIALS, **run_kwargs
 ) -> list[float]:
-    """Run ``trials`` independent seeded worlds; returns latencies in ms."""
+    """Run ``spec`` in ``trials`` independent seeded worlds; returns
+    latencies in ms.  ``run_kwargs`` go to :func:`repro.world.run_world`."""
     latencies: list[float] = []
     for seed in range(trials):
-        outcome = scenario(seed=seed, **kwargs)
+        outcome = run_world(spec, seed=seed, **run_kwargs)
         if outcome.latency_ms is None:
             raise RuntimeError(
-                f"scenario {scenario.__name__} produced no answer at seed {seed}"
+                f"scenario {spec.name} produced no answer at seed {seed}"
             )
         latencies.append(outcome.latency_ms)
     return latencies
 
 
-def measure(name: str, trials: int = DEFAULT_TRIALS, **kwargs) -> Measurement:
-    """Measure one registered scenario by name."""
-    scenario = SCENARIOS[name]
-    latencies = run_trials(scenario, trials=trials, **kwargs)
+def measure(name: str, trials: int = DEFAULT_TRIALS, **run_kwargs) -> Measurement:
+    """Measure one catalog scenario (a ``SCENARIO_SPECS`` name) at its
+    default parameters."""
+    latencies = run_trials(SCENARIO_SPECS[name](), trials=trials, **run_kwargs)
+    figures = {scenario: key for key, scenario in PAPER_SCENARIOS.items()}
     return Measurement(
         name=name,
         median_ms=statistics.median(latencies),
         min_ms=min(latencies),
         max_ms=max(latencies),
         trials=trials,
-        paper_ms=PAPER_RESULTS_MS.get(name),
+        paper_ms=PAPER_RESULTS_MS.get(figures.get(name)),
     )
 
 
-def measure_all(trials: int = DEFAULT_TRIALS) -> list[Measurement]:
-    """Measure every paper scenario (Figs. 7-9)."""
-    return [measure(name, trials=trials) for name in PAPER_RESULTS_MS]
-
-
-__all__ = ["Measurement", "run_trials", "measure", "measure_all", "DEFAULT_TRIALS"]
+__all__ = ["Measurement", "run_trials", "measure", "DEFAULT_TRIALS"]

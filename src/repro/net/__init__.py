@@ -23,7 +23,6 @@ from .errors import (
     PortInUseError,
     SocketClosedError,
 )
-from .faults import FaultEvent, FaultPlan, execute_fault
 from .latency import (
     GilbertElliottLoss,
     LatencyModel,
@@ -80,8 +79,6 @@ __all__ = [
     "shared_decode",
     "Endpoint",
     "EventHandle",
-    "FaultEvent",
-    "FaultPlan",
     "GilbertElliottLoss",
     "LatencyModel",
     "Link",
@@ -107,7 +104,6 @@ __all__ = [
     "UdpStack",
     "classify_payload",
     "edge_seed",
-    "execute_fault",
     "format_trace",
     "make_loss_model",
     "is_multicast",

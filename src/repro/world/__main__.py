@@ -4,8 +4,9 @@ Commands:
 
 * ``list`` — one row per registered scenario spec (validated first);
 * ``describe <scenario> [param=value ...]`` — validate and pretty-print
-  one spec, optionally re-parameterized (ints parse as ints), including
-  the computed district partition map the parallel engine would use;
+  one spec, optionally re-parameterized (ints and floats parse as
+  numbers), including the computed district partition map the parallel
+  engine would use;
 * ``validate`` — schema + subnet-budget checks over **every** registered
   spec, exiting non-zero on the first failure.  CI runs this as a fast
   pre-test step: a malformed scenario fails in milliseconds, before any
@@ -30,19 +31,24 @@ from .scenarios import SCENARIO_SPECS
 from .spec import SpecError, WorldSpec
 
 
+def _parse_value(value: str):
+    if value in ("True", "False"):
+        return value == "True"
+    for parse in (int, float):
+        try:
+            return parse(value)
+        except ValueError:
+            pass
+    return value
+
+
 def _parse_params(args: list[str]) -> dict:
     params: dict = {}
     for arg in args:
         key, sep, value = arg.partition("=")
         if not sep:
             raise SystemExit(f"expected param=value, got {arg!r}")
-        try:
-            params[key] = int(value)
-        except ValueError:
-            if value in ("True", "False"):
-                params[key] = value == "True"
-            else:
-                params[key] = value
+        params[key] = _parse_value(value)
     return params
 
 

@@ -14,9 +14,11 @@ legacy hand-rolled builders constructed them — the golden-parity tests in
 schedules.
 
 ``SCENARIO_SPECS`` maps scenario names to their (parameterized) spec
-builders; ``repro.bench.scenarios`` wraps them into the classic
-callable-per-scenario registry, and ``python -m repro.world`` validates
-and describes them without running anything.
+builders and is the one scenario registry: ``run_world(spec, seed=...)``
+runs any entry, the bench harness and benchmarks look scenarios up here,
+and ``python -m repro.world`` validates and describes them without
+running anything.  ``SMALL_SCALE_OVERRIDES`` holds the reduced sizes the
+test suite runs the benchmark-sized entries at.
 """
 
 from __future__ import annotations
@@ -1526,6 +1528,62 @@ SCENARIO_SPECS: dict[str, Callable[..., WorldSpec]] = {
 }
 
 
-__all__ = ["SCENARIO_SPECS", "CLOCK_REG", "CLOCK_DEVICE_TYPE"] + [
+#: Reduced parameters for scenarios whose defaults are sized for the perf
+#: benchmarks, not the test suite; the behavioural tests apply these so
+#: tier-1 stays fast while the benchmarks keep the full-scale defaults.
+SMALL_SCALE_OVERRIDES: dict[str, dict] = {
+    "federated_campus": {"nodes": 120},
+    "partitioned_campus": {"segments": 4, "nodes": 80},
+    "sharded_backbone": {"nodes": 120},
+    "metro_backbone": {
+        "districts": 2,
+        "leaves_per_district": 3,
+        "nodes": 300,
+        "chatter_per_leaf": 2,
+        "run_us": 2_500_000,
+    },
+    "media_city": {
+        "districts": 2,
+        "leaves_per_district": 3,
+        "nodes": 250,
+        "devices_per_leaf": 3,
+        "cp_per_leaf": 2,
+        "run_us": 2_000_000,
+    },
+    "churn_backbone": {
+        "members": 3,
+        "nodes": 80,
+        "service_types": 2,
+        "churn_cycles": 2,
+    },
+    "district_sweep": {
+        "districts": 3,
+        "probe_wait_us": 2_500_000,
+        "run_us": 4_000_000,
+    },
+    "district_grid": {
+        "districts": 3,
+        "leaves_per_district": 2,
+        "run_us": 2_000_000,
+    },
+    "serving_backbone": {
+        "members": 3,
+        "nodes": 60,
+        "service_types": 3,
+        "queries_per_client": 12,
+        "run_us": 2_500_000,
+    },
+    "serving_grid": {
+        "districts": 2,
+        "leaves_per_district": 1,
+        "queries_per_client": 6,
+        "run_us": 2_000_000,
+    },
+}
+
+
+__all__ = [
+    "SCENARIO_SPECS", "SMALL_SCALE_OVERRIDES", "CLOCK_REG", "CLOCK_DEVICE_TYPE",
+] + [
     f"{name}_spec" for name in SCENARIO_SPECS
 ]

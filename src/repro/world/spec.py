@@ -475,7 +475,9 @@ class Churn:
 class Fault:
     """Inject one adversity condition, effective immediately.
 
-    Kinds (see :mod:`repro.net.faults` for the underlying semantics):
+    Kinds (``World`` applies each through one :class:`~repro.net.Network`
+    primitive — ``cut_link``, ``isolate_segment``, ``set_link_loss`` /
+    ``set_segment_loss``, ``detach_node``):
 
     * ``"cut"`` — take ``link=(a, b)`` down; unicast reroutes around it
       (or drops when no path survives) and frames in flight on it are lost;
@@ -536,7 +538,8 @@ class Crash:
     the fleet's failure detector (or never, if the detector is unarmed).
 
     Applied at a barrier-synchronized step boundary, so it is legal under
-    the partitioned engine (unlike ``FaultPlan`` self-scheduling).
+    the partitioned engine.  Hand-built networks without a spec call
+    :meth:`Network.crash_node` directly.
     """
 
     host: str
@@ -939,7 +942,9 @@ class WorldSpec:
         if step.host is not None and step.host not in hosts:
             problems.append(f"{where}: unknown host {step.host!r}")
         if is_fault and step.kind == "degrade":
-            if not (0.0 <= step.rate < 1.0):
+            if not isinstance(step.rate, (int, float)):
+                problems.append(f"{where}: degrade rate {step.rate!r} is not a number")
+            elif not (0.0 <= step.rate < 1.0):
                 problems.append(f"{where}: degrade rate {step.rate!r} not in [0, 1)")
             if step.model not in ("bernoulli", "gilbert"):
                 problems.append(f"{where}: unknown loss model {step.model!r}")

@@ -3,16 +3,17 @@ test: an SLP user agent on segment A discovers a UPnP service on segment C
 through two INDISS gateways bridging A-B and B-C, with multicast confined
 to each segment."""
 
-from repro.bench.scenarios import (
-    SCENARIOS,
-    campus_fanout,
-    gateway_chain,
-    multi_segment_home,
-)
 from repro.core import Indiss, IndissConfig
 from repro.net import Network
 from repro.sdp.slp import SlpConfig, UserAgent
 from repro.sdp.upnp import make_clock_device
+from repro.world import run_world
+from repro.world.scenarios import (
+    SCENARIO_SPECS,
+    campus_fanout_spec,
+    gateway_chain_spec,
+    multi_segment_home_spec,
+)
 
 SLP_PORT = 427
 SSDP_PORT = 1900
@@ -126,37 +127,37 @@ class TestGatewayChainAcceptance:
 class TestScenarioFamily:
     def test_registry_contains_family(self):
         for name in ("multi_segment_home", "gateway_chain", "campus_fanout"):
-            assert name in SCENARIOS
+            assert name in SCENARIO_SPECS
 
     def test_multi_segment_home_finds_service(self):
-        outcome = multi_segment_home(seed=3, nodes=50)
+        outcome = run_world(multi_segment_home_spec(nodes=50), seed=3)
         assert outcome.latency_us is not None
         assert outcome.results >= 1
         assert len(outcome.world.nodes) == 50
         assert len(outcome.world.segments) == 2
 
     def test_gateway_chain_scenario_finds_service(self):
-        outcome = gateway_chain(seed=3)
+        outcome = run_world(gateway_chain_spec(), seed=3)
         assert outcome.latency_us is not None
         assert outcome.results >= 1
         assert len(outcome.world.segments) == 3
 
     def test_campus_fanout_finds_service_at_scale(self):
-        outcome = campus_fanout(seed=3, segments=8, nodes=200)
+        outcome = run_world(campus_fanout_spec(segments=8, nodes=200), seed=3)
         assert outcome.latency_us is not None
         assert outcome.results >= 1
         assert len(outcome.world.segments) == 8
         assert len(outcome.world.nodes) == 200
 
     def test_chain_latency_grows_with_depth(self):
-        two = multi_segment_home(seed=5)
-        three = gateway_chain(seed=5)
+        two = run_world(multi_segment_home_spec(), seed=5)
+        three = run_world(gateway_chain_spec(), seed=5)
         assert three.latency_us > two.latency_us
 
     def test_chain_scales_past_the_acceptance_depth(self):
         """Four gateways in a row: the recursive-AttrRqst sub-timeout keeps
         each hop's cost bounded, so deep chains converge instead of the
         first gateway's convergence window expiring empty."""
-        outcome = gateway_chain(seed=2, segments=5)
+        outcome = run_world(gateway_chain_spec(segments=5), seed=2)
         assert outcome.latency_us is not None
         assert outcome.results >= 1

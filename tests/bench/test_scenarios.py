@@ -1,49 +1,62 @@
-"""Tests for the benchmark scenarios: determinism and paper shapes.
+"""Tests for the scenario catalog: determinism and paper shapes.
 
 These run a reduced trial count (the full 30-trial medians live in
-``benchmarks/``); they pin down that every scenario completes, that equal
-seeds give identical virtual latencies, and that the coarse orderings the
-paper reports always hold.
+``benchmarks/``); they pin down that every catalog scenario completes,
+that equal seeds give identical virtual latencies, and that the coarse
+orderings the paper reports always hold.
 """
 
 import statistics
 
 import pytest
 
-from repro.bench import (
-    PAPER_RESULTS_MS,
-    SCENARIOS,
-    native_slp,
-    native_upnp,
-    run_trials,
-    slp_to_upnp_client_side,
-    slp_to_upnp_service_side,
-    upnp_to_slp_client_side,
-    upnp_to_slp_service_side,
+from repro.bench import PAPER_RESULTS_MS, PAPER_SCENARIOS, measure, run_trials
+from repro.world import run_world
+from repro.world.scenarios import (
+    SCENARIO_SPECS,
+    SMALL_SCALE_OVERRIDES,
+    native_slp_spec,
+    native_upnp_spec,
+    slp_to_upnp_client_side_spec,
+    slp_to_upnp_service_side_spec,
+    upnp_to_slp_client_side_spec,
+    upnp_to_slp_service_side_spec,
 )
 
+#: Cases are named by the paper's figure key (and the gateway ablations by
+#: their ``gateway_*`` names) where one exists, so a failure reads against
+#: the figure it reproduces; every other entry uses its catalog name.
+_IDS = {scenario: figure for figure, scenario in PAPER_SCENARIOS.items()} | {
+    "slp_to_upnp_gateway": "gateway_slp_to_upnp",
+    "slp_to_jini_gateway": "gateway_slp_to_jini",
+}
+CATALOG = [
+    pytest.param(name, id=_IDS.get(name, name)) for name in sorted(SCENARIO_SPECS)
+]
 
-from repro.bench.scenarios import SMALL_SCALE_OVERRIDES
+
+def small_spec(name):
+    return SCENARIO_SPECS[name](**SMALL_SCALE_OVERRIDES.get(name, {}))
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", CATALOG)
     def test_same_seed_same_latency(self, name):
-        scenario = SCENARIOS[name]
-        kwargs = SMALL_SCALE_OVERRIDES.get(name, {})
-        first = scenario(seed=3, **kwargs)
-        second = scenario(seed=3, **kwargs)
+        spec = small_spec(name)
+        first = run_world(spec, seed=3)
+        second = run_world(spec, seed=3)
         assert first.latency_us == second.latency_us
 
     def test_different_seeds_vary(self):
-        latencies = {native_upnp(seed=s).latency_us for s in range(6)}
+        spec = native_upnp_spec()
+        latencies = {run_world(spec, seed=s).latency_us for s in range(6)}
         assert len(latencies) > 1  # responder jitter varies by seed
 
 
 class TestCompleteness:
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", CATALOG)
     def test_scenario_yields_exactly_one_answer(self, name):
-        outcome = SCENARIOS[name](seed=0, **SMALL_SCALE_OVERRIDES.get(name, {}))
+        outcome = run_world(small_spec(name), seed=0)
         if name.startswith("serving_"):
             # The serving scenarios measure an open-loop query workload,
             # not a single named probe: success is answered queries.
@@ -65,16 +78,16 @@ class TestPaperShapes:
 
     @pytest.fixture(scope="class")
     def medians(self):
-        def med(fn, **kwargs):
-            return statistics.median(run_trials(fn, trials=7, **kwargs))
+        def med(spec):
+            return statistics.median(run_trials(spec, trials=7))
 
         return {
-            "native_slp": med(native_slp),
-            "native_upnp": med(native_upnp),
-            "fig8a": med(slp_to_upnp_service_side),
-            "fig8b": med(upnp_to_slp_service_side),
-            "fig9a": med(slp_to_upnp_client_side),
-            "fig9b": med(upnp_to_slp_client_side),
+            "native_slp": med(native_slp_spec()),
+            "native_upnp": med(native_upnp_spec()),
+            "fig8a": med(slp_to_upnp_service_side_spec()),
+            "fig8b": med(upnp_to_slp_service_side_spec()),
+            "fig9a": med(slp_to_upnp_client_side_spec()),
+            "fig9b": med(upnp_to_slp_client_side_spec()),
         }
 
     def test_total_order_of_scenarios(self, medians):
@@ -91,21 +104,19 @@ class TestPaperShapes:
         assert medians["fig9a"] < 2.5 * medians["native_upnp"]
 
     def test_cold_cache_slower_than_warm(self):
-        warm = statistics.median(run_trials(upnp_to_slp_client_side, trials=5))
+        warm = statistics.median(run_trials(upnp_to_slp_client_side_spec(), trials=5))
         cold = statistics.median(
-            run_trials(upnp_to_slp_client_side, trials=5, warm_cache=False)
+            run_trials(upnp_to_slp_client_side_spec(warm_cache=False), trials=5)
         )
         assert warm < cold
 
 
 class TestHarness:
     def test_measure_populates_paper_reference(self):
-        from repro.bench import measure
-
-        measurement = measure("fig7_native_slp", trials=3)
+        measurement = measure("native_slp", trials=3)
         assert measurement.paper_ms == PAPER_RESULTS_MS["fig7_native_slp"]
         assert measurement.trials == 3
         assert measurement.min_ms <= measurement.median_ms <= measurement.max_ms
 
     def test_run_trials_length(self):
-        assert len(run_trials(native_slp, trials=4)) == 4
+        assert len(run_trials(native_slp_spec(), trials=4)) == 4

@@ -1,12 +1,13 @@
 """Acceptance criteria for the federation scenario family, at test scale."""
 
-from repro.bench.scenarios import federated_campus, sharded_backbone
+from repro.world import run_world
+from repro.world.scenarios import federated_campus_spec, sharded_backbone_spec
 
 
 def test_federated_campus_collapses_duplicate_translations():
     """Per-request duplicate translations across the fleet fall to <= 1
     owner + the elected responder — versus one per leaf gateway before."""
-    outcome = federated_campus(seed=0, segments=5, nodes=60)
+    outcome = run_world(federated_campus_spec(segments=5, nodes=60), seed=0)
     extras = outcome.extras
     assert outcome.results >= 1 and outcome.latency_us is not None
     # Gossip warmed every member before the query.
@@ -20,8 +21,10 @@ def test_federated_campus_collapses_duplicate_translations():
 
 
 def test_federated_campus_beats_the_unfederated_baseline():
-    federated = federated_campus(seed=0, segments=5, nodes=60)
-    baseline = federated_campus(seed=0, segments=5, nodes=60, federated=False)
+    federated = run_world(federated_campus_spec(segments=5, nodes=60), seed=0)
+    baseline = run_world(
+        federated_campus_spec(segments=5, nodes=60, federated=False), seed=0
+    )
     assert baseline.results >= 1
     assert (
         federated.extras["query_translations"]
@@ -30,7 +33,7 @@ def test_federated_campus_beats_the_unfederated_baseline():
 
 
 def test_gossip_warmed_gateway_answers_repeat_query_from_cache():
-    outcome = federated_campus(seed=1, segments=5, nodes=60)
+    outcome = run_world(federated_campus_spec(segments=5, nodes=60), seed=1)
     extras = outcome.extras
     assert extras["repeat_results"] >= 1
     assert extras["repeat_cache_answers"] >= 1
@@ -44,7 +47,9 @@ def test_gossip_warmed_gateway_answers_repeat_query_from_cache():
 
 
 def test_sharded_backbone_partitions_types_across_owners():
-    outcome = sharded_backbone(seed=0, members=4, nodes=80, service_types=4)
+    outcome = run_world(
+        sharded_backbone_spec(members=4, nodes=80, service_types=4), seed=0
+    )
     extras = outcome.extras
     per_type = extras["per_type"]
     assert all(entry["results"] >= 1 for entry in per_type.values())
@@ -66,7 +71,9 @@ def test_fleet_member_departure_rebalances_ownership():
     """A leaver's types fall to ring successors and stay answerable."""
     from repro.federation import ShardRing
 
-    outcome = sharded_backbone(seed=0, members=4, nodes=40, service_types=2)
+    outcome = run_world(
+        sharded_backbone_spec(members=4, nodes=40, service_types=2), seed=0
+    )
     # Reconstruct the fleet's ring from the measured owners and remove one.
     owners = {
         name: entry["owner"] for name, entry in outcome.extras["per_type"].items()

@@ -10,14 +10,7 @@ so no id is ever reused across the crash.
 
 import pytest
 
-from repro.net import (
-    Endpoint,
-    FaultEvent,
-    FaultPlan,
-    LatencyModel,
-    Network,
-    NetworkError,
-)
+from repro.net import Endpoint, LatencyModel, Network, NetworkError
 from repro.net.network import RESTART_SESSION_BLOCK, SESSION_ID_BLOCK
 
 
@@ -125,18 +118,11 @@ def test_restart_mints_fresh_session_block():
     assert net.session_id_source(c) is None
 
 
-def test_fault_event_crash_requires_host():
-    with pytest.raises(ValueError):
-        FaultEvent(at_us=0, action="crash")
-    with pytest.raises(ValueError):
-        FaultEvent(at_us=0, action="restart")
-    FaultEvent(at_us=0, action="crash", host="192.168.1.1")  # must not raise
-
-
-def test_fault_plan_crash_and_restart():
-    """A timed plan crash-stops the host mid-run and brings it back with
-    empty stacks: deliveries stop at the crash and the application must
-    re-bind to receive again (volatile state is genuinely lost)."""
+def test_scheduled_crash_and_restart():
+    """A timed crash stops the host mid-run and a timed restart brings it
+    back with empty stacks: deliveries stop at the crash and the
+    application must re-bind to receive again (volatile state is
+    genuinely lost)."""
     net = make_net()
     sender, victim = net.add_node("sender"), net.add_node("victim")
     got = []
@@ -149,13 +135,16 @@ def test_fault_plan_crash_and_restart():
             ms * 1_000,
             lambda: sock.sendto(b"tick", Endpoint(victim.address, 5000)),
         )
-    plan = FaultPlan(events=(
-        FaultEvent(at_us=2_500, action="crash", host=victim.address),
-        FaultEvent(at_us=6_500, action="restart", host=victim.address),
-    ))
-    plan.schedule(net)
+    executed = []
+
+    def act(action, apply):
+        apply(victim)
+        executed.append((net.scheduler.now_us, action))
+
+    sender.schedule(2_500, lambda: act("crash", net.crash_node))
+    sender.schedule(6_500, lambda: act("restart", net.restart_node))
     net.run()
-    assert plan.executed == [(2_500, "crash"), (6_500, "restart")]
+    assert executed == [(2_500, "crash"), (6_500, "restart")]
     # Only pre-crash ticks landed; the restarted host has no socket bound.
     assert got and all(t < 2_500 for t in got)
     assert not net.is_crashed(victim)
@@ -172,7 +161,7 @@ def test_fault_plan_crash_and_restart():
 
 
 def test_armed_but_unfired_crash_is_bit_identical():
-    """Arming the adversity layer with a crash plan that never fires (the
+    """Arming the adversity layer with a timed crash that never fires (the
     run ends first) must not move a single delivery timestamp."""
     def drive(armed: bool):
         net = make_net()
@@ -183,10 +172,8 @@ def test_armed_but_unfired_crash_is_bit_identical():
         )
         sock = a.udp.socket().bind(6000)
         if armed:
-            plan = FaultPlan(events=(
-                FaultEvent(at_us=50_000, action="crash", host=b.address),
-            ))
-            plan.schedule(net)
+            net.enable_faults()
+            a.schedule(50_000, lambda: net.crash_node(b))
         for ms in range(5):
             a.schedule(
                 ms * 1_000,

@@ -1,5 +1,6 @@
 """The adversity layer's net primitives: seeded loss models, link state
-and reroute, in-flight drops, and timed fault plans.
+and reroute, and in-flight drops.  Worlds drive the same primitives
+through ``Fault``/``Heal`` workload steps (``tests/world/test_fault_steps.py``).
 
 Everything here must be deterministic (dedicated per-edge RNG streams) and
 strictly opt-in: an armed-but-lossless network behaves observably like an
@@ -10,8 +11,6 @@ import pytest
 
 from repro.net import (
     Endpoint,
-    FaultEvent,
-    FaultPlan,
     GilbertElliottLoss,
     LossModel,
     Network,
@@ -241,35 +240,14 @@ def test_same_seed_same_drop_pattern_end_to_end():
     assert patterns[0] == patterns[1]
 
 
-# -- fault plans ------------------------------------------------------------------
-
-
-def test_fault_plan_executes_scheduled_actions_in_order():
+def test_link_degrade_then_clear():
+    """A loss model installed mid-run drops frames; clearing it mid-run
+    lets every later frame through."""
     net, src, dst = triangle()
-    plan = FaultPlan(events=(
-        FaultEvent(at_us=50_000, action="heal", link=("segA", "segC")),
-        FaultEvent(at_us=10_000, action="cut", link=("segA", "segC")),
-    ))
-    plan.schedule(net)
-    net.run(duration_us=20_000)
-    assert not net.router.link_is_up("segA", "segC")
-    net.run(duration_us=40_000)
-    assert net.router.link_is_up("segA", "segC")
-    assert plan.executed == [(10_000, "cut"), (50_000, "heal")]
-
-
-def test_fault_plan_degrade_and_clear():
-    net, src, dst = triangle()
-    plan = FaultPlan(
-        events=(
-            FaultEvent(
-                at_us=1_000, action="degrade", link=("segA", "segC"), rate=0.4
-            ),
-            FaultEvent(at_us=500_000, action="clear", link=("segA", "segC")),
-        ),
-        seed=5,
-    )
-    plan.schedule(net)
+    net.enable_faults()
+    lossy = make_loss_model("bernoulli", 0.4, 5, "segA-segC")
+    src.schedule(1_000, lambda: net.set_link_loss("segA", "segC", lossy))
+    src.schedule(500_000, lambda: net.set_link_loss("segA", "segC", None))
     got = sink_on(net, dst, 5008)
     tx = src.udp.socket()
 
@@ -285,22 +263,3 @@ def test_fault_plan_degrade_and_clear():
     src.schedule(1_000, burst)
     net.run()
     assert len(got) == lossy_phase + 50  # cleared: every frame arrives
-
-
-def test_fault_event_validation():
-    with pytest.raises(ValueError):
-        FaultEvent(at_us=0, action="explode", link=("a", "b"))
-    with pytest.raises(ValueError):
-        FaultEvent(at_us=0, action="cut")  # cut needs a link
-    with pytest.raises(ValueError):
-        FaultEvent(at_us=0, action="degrade", link=("a", "b"), rate=1.0)
-
-
-def test_fault_plan_refuses_past_events():
-    net, _, _ = triangle()
-    net.run(duration_us=10_000)
-    plan = FaultPlan(events=(
-        FaultEvent(at_us=5_000, action="cut", link=("segA", "segC")),
-    ))
-    with pytest.raises(NetworkError):
-        plan.schedule(net)

@@ -17,8 +17,9 @@ from typing import Callable
 import pytest
 
 import repro.net.network as network_module
-from repro.bench.scenarios import federated_campus, multi_segment_home
 from repro.net.simclock import Scheduler
+from repro.world import run_world
+from repro.world.scenarios import federated_campus_spec, multi_segment_home_spec
 
 
 @dataclass(order=True)
@@ -155,9 +156,9 @@ class _LoggingWheelScheduler(Scheduler):
         self.fire_log = []
 
 
-def _run_with_scheduler(monkeypatch, scheduler_cls, scenario_fn, **kwargs):
+def _run_with_scheduler(monkeypatch, scheduler_cls, spec, seed):
     monkeypatch.setattr(network_module, "Scheduler", scheduler_cls)
-    outcome = scenario_fn(**kwargs)
+    outcome = run_world(spec, seed=seed, capture=True)
     sched = outcome.world.scheduler
     trace = [
         (r.time_us, r.transport, r.source, r.destination, r.payload, r.segment)
@@ -166,23 +167,20 @@ def _run_with_scheduler(monkeypatch, scheduler_cls, scenario_fn, **kwargs):
     return sched.fire_log, trace, outcome
 
 
-SCENARIO_CASES = [
-    ("multi_segment_home", multi_segment_home, {"nodes": 30, "capture": True}),
-    (
-        "federated_campus",
-        federated_campus,
-        {"segments": 4, "nodes": 60, "capture": True},
-    ),
-]
+SCENARIO_CASES = {
+    "multi_segment_home": multi_segment_home_spec(nodes=30),
+    "federated_campus": federated_campus_spec(segments=4, nodes=60),
+}
 
 
-@pytest.mark.parametrize("name,fn,kwargs", SCENARIO_CASES, ids=[c[0] for c in SCENARIO_CASES])
-def test_wheel_fires_identical_event_sequence(monkeypatch, name, fn, kwargs):
+@pytest.mark.parametrize("name", sorted(SCENARIO_CASES))
+def test_wheel_fires_identical_event_sequence(monkeypatch, name):
+    spec = SCENARIO_CASES[name]
     ref_log, ref_trace, ref_outcome = _run_with_scheduler(
-        monkeypatch, _ReferenceHeapScheduler, fn, seed=2, **kwargs
+        monkeypatch, _ReferenceHeapScheduler, spec, seed=2
     )
     wheel_log, wheel_trace, wheel_outcome = _run_with_scheduler(
-        monkeypatch, _LoggingWheelScheduler, fn, seed=2, **kwargs
+        monkeypatch, _LoggingWheelScheduler, spec, seed=2
     )
     assert len(ref_log) > 20, "scenario fired suspiciously few events"
     assert wheel_log == ref_log

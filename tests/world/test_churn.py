@@ -15,9 +15,8 @@ invariants that make that safe:
 
 import pytest
 
-from repro.bench.scenarios import churn_backbone
 from repro.net import Network
-from repro.world import Churn, World
+from repro.world import Churn, World, run_world
 from repro.world.scenarios import churn_backbone_spec
 
 SMALL = dict(members=3, nodes=60, service_types=2, churn_cycles=2,
@@ -154,7 +153,7 @@ class TestChurnWorkload:
             assert record["ring_size_up"] == SMALL["members"]
 
     def test_churned_fleet_still_answers(self):
-        outcome = churn_backbone(seed=0, **SMALL)
+        outcome = run_world(churn_backbone_spec(**SMALL), seed=0)
         assert outcome.latency_us is not None
         assert outcome.results >= 1
         assert outcome.extras["churn_cycles"] == SMALL["churn_cycles"]
@@ -165,8 +164,9 @@ class TestChurnWorkload:
         assert outcome.extras["chatter_found_rate"] > 0.5
 
     def test_churn_is_deterministic(self):
-        first = churn_backbone(seed=5, **SMALL)
-        second = churn_backbone(seed=5, **SMALL)
+        spec = churn_backbone_spec(**SMALL)
+        first = run_world(spec, seed=5)
+        second = run_world(spec, seed=5)
         assert first.latency_us == second.latency_us
         assert (
             first.world.scheduler.events_fired == second.world.scheduler.events_fired

@@ -90,6 +90,10 @@ class TestSpecValidation:
                 (Fault("degrade", segment="spare", rate=0.1, model="fog"),)
             ).validate()
 
+    def test_non_numeric_degrade_rate_reported(self):
+        with pytest.raises(SpecError, match="degrade rate '0.2' is not a number"):
+            adversity_spec((Fault("degrade", segment="spare", rate="0.2"),)).validate()
+
     def test_unknown_references_rejected(self):
         with pytest.raises(SpecError, match="link end"):
             adversity_spec((Fault("cut", link=("left", "nowhere")),)).validate()

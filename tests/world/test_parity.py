@@ -1,9 +1,10 @@
 """Golden parity: spec-built scenarios == the frozen imperative builders.
 
-Every legacy ``SCENARIOS`` entry is now compiled from a
-:class:`~repro.world.WorldSpec`.  These tests run each one side by side
-with the frozen pre-redesign builder (``legacy_builders.py``) and assert
-the outcomes are identical:
+Every scenario the legacy builders (``legacy_builders.py``) construct by
+hand is now a ``SCENARIO_SPECS`` entry compiled from a
+:class:`~repro.world.WorldSpec`.  These tests run each catalog spec side
+by side with its frozen pre-redesign builder and assert the outcomes are
+identical:
 
 * the scheduler fired the **same number of events** (the construction
   order, and therefore the whole event schedule, is reproduced);
@@ -12,8 +13,8 @@ the outcomes are identical:
 * the extras carry the same key set (the observer pipeline reproduces
   every measurement the hand-rolled stat plumbing made).
 
-The scale scenarios run under the repo's SMALL_SCALE_OVERRIDES so tier-1
-stays fast.
+The scale scenarios run under the catalog's SMALL_SCALE_OVERRIDES so
+tier-1 stays fast.
 """
 
 import itertools
@@ -21,11 +22,24 @@ import itertools
 import pytest
 
 import repro.core.session as session_module
-from repro.bench.scenarios import SCENARIOS, SMALL_SCALE_OVERRIDES
+from repro.world import run_world
+from repro.world.scenarios import SCENARIO_SPECS, SMALL_SCALE_OVERRIDES
 
 from . import legacy_builders
 
 LEGACY = legacy_builders.SCENARIOS
+
+#: Legacy registry keys whose catalog entry carries a different name.
+CATALOG_NAME = {
+    "fig7_native_slp": "native_slp",
+    "fig7_native_upnp": "native_upnp",
+    "fig8_slp_to_upnp_service_side": "slp_to_upnp_service_side",
+    "fig8_upnp_to_slp_service_side": "upnp_to_slp_service_side",
+    "fig9_slp_to_upnp_client_side": "slp_to_upnp_client_side",
+    "fig9_upnp_to_slp_client_side": "upnp_to_slp_client_side",
+    "gateway_slp_to_upnp": "slp_to_upnp_gateway",
+    "gateway_slp_to_jini": "slp_to_jini_gateway",
+}
 
 
 def _run(fn, **kwargs):
@@ -41,6 +55,16 @@ def _run(fn, **kwargs):
     return fn(**kwargs)
 
 
+def _modern(name, seed, **params):
+    """The catalog spec for legacy key ``name``, run like ``_run``."""
+    spec = SCENARIO_SPECS[CATALOG_NAME.get(name, name)](**params)
+    return _run(run_world, spec=spec, seed=seed)
+
+
+def _small(name):
+    return SMALL_SCALE_OVERRIDES.get(CATALOG_NAME.get(name, name), {})
+
+
 def _outcome_signature(outcome):
     return {
         "events_fired": outcome.world.scheduler.events_fired,
@@ -54,24 +78,24 @@ def _outcome_signature(outcome):
 
 @pytest.mark.parametrize("name", sorted(LEGACY))
 def test_spec_built_scenario_matches_legacy_builder(name):
-    kwargs = SMALL_SCALE_OVERRIDES.get(name, {})
+    kwargs = _small(name)
     legacy = _run(LEGACY[name], seed=0, **kwargs)
-    modern = _run(SCENARIOS[name], seed=0, **kwargs)
+    modern = _modern(name, seed=0, **kwargs)
     assert _outcome_signature(modern) == _outcome_signature(legacy)
 
 
 @pytest.mark.parametrize("name", ["fig7_native_upnp", "multi_segment_home"])
 def test_parity_holds_across_seeds(name):
-    kwargs = SMALL_SCALE_OVERRIDES.get(name, {})
+    kwargs = _small(name)
     for seed in (1, 4):
         legacy = _run(LEGACY[name], seed=seed, **kwargs)
-        modern = _run(SCENARIOS[name], seed=seed, **kwargs)
+        modern = _modern(name, seed=seed, **kwargs)
         assert _outcome_signature(modern) == _outcome_signature(legacy)
 
 
 def test_warm_cache_off_variant_matches():
     legacy = _run(LEGACY["fig9_upnp_to_slp_client_side"], seed=2, warm_cache=False)
-    modern = _run(SCENARIOS["fig9_upnp_to_slp_client_side"], seed=2, warm_cache=False)
+    modern = _modern("fig9_upnp_to_slp_client_side", seed=2, warm_cache=False)
     assert _outcome_signature(modern) == _outcome_signature(legacy)
 
 
@@ -80,7 +104,7 @@ def test_federated_campus_extras_values_match():
     what downstream tests assert on, so they must match exactly too."""
     kwargs = {"segments": 5, "nodes": 60}
     legacy = _run(LEGACY["federated_campus"], seed=0, **kwargs)
-    modern = _run(SCENARIOS["federated_campus"], seed=0, **kwargs)
+    modern = _modern("federated_campus", seed=0, **kwargs)
     for key in (
         "warm_members_after_gossip",
         "query_translations",
@@ -97,7 +121,7 @@ def test_federated_campus_extras_values_match():
 def test_sharded_backbone_per_type_matches():
     kwargs = {"members": 4, "nodes": 80, "service_types": 4}
     legacy = _run(LEGACY["sharded_backbone"], seed=0, **kwargs)
-    modern = _run(SCENARIOS["sharded_backbone"], seed=0, **kwargs)
+    modern = _modern("sharded_backbone", seed=0, **kwargs)
     assert modern.extras["per_type"] == legacy.extras["per_type"]
     assert modern.extras["owner_spread"] == legacy.extras["owner_spread"]
     assert modern.extras["query_translations"] == legacy.extras["query_translations"]

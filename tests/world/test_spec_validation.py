@@ -142,6 +142,11 @@ class TestCli:
         assert "world gateway_chain" in result.stdout
         assert "valid" in result.stdout
 
+    def test_describe_parses_float_params(self):
+        result = _cli("describe", "partitioned_campus", "degrade_rate=0.2")
+        assert result.returncode == 0, result.stderr
+        assert "rate=0.2)" in result.stdout
+
     def test_describe_unknown_scenario_fails(self):
         result = _cli("describe", "no_such_world")
         assert result.returncode != 0
