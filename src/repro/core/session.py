@@ -10,14 +10,11 @@ requester.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..net import Endpoint
 from .events import Event, SDP_RES_SERV_URL
-
-_session_ids = itertools.count(1)
 
 
 def stream_has_result(stream: list[Event]) -> bool:
@@ -35,7 +32,8 @@ class TranslationSession:
     requester: Optional[Endpoint]
     request_stream: list[Event] = field(default_factory=list)
     created_at_us: int = 0
-    session_id: int = field(default_factory=lambda: next(_session_ids))
+    #: From ``Network.session_id_source``; composer-only sessions keep 0.
+    session_id: int = 0
     #: Scratch variables recorded along the way (xid, service type, ...).
     vars: dict[str, Any] = field(default_factory=dict)
     #: Set by the bridge: receives the reply event stream for composition.

@@ -98,8 +98,8 @@ class SessionManager:
         self,
         clock: Callable[[], int],
         dedup_window_us: int,
+        session_id_source: Callable[[], int],
         dedup_scope: str = "requester",
-        session_id_source: Optional[Callable[[], int]] = None,
     ):
         if dedup_scope not in ("requester", "service-type"):
             raise ValueError(f"unknown dedup scope {dedup_scope!r}")
@@ -108,9 +108,7 @@ class SessionManager:
         self.deduper = RequestDeduper(clock, dedup_window_us)
         self.sessions: list[TranslationSession] = []
         self.stats = SessionStats()
-        #: Overrides the module-global session-id counter.  Partitioned
-        #: topologies mint ids from per-district blocks so every execution
-        #: backend allocates identical ids (see
+        #: The owning network's allocator for this host (see
         #: :meth:`repro.net.network.Network.session_id_source`).
         self._session_id_source = session_id_source
 
@@ -151,22 +149,13 @@ class SessionManager:
         request_stream: list[Event],
         on_reply: Callable[[list[Event], TranslationSession], None],
     ) -> TranslationSession:
-        source = self._session_id_source
-        if source is None:
-            session = TranslationSession(
-                origin_sdp=origin_sdp,
-                requester=requester,
-                request_stream=request_stream,
-                created_at_us=self._clock(),
-            )
-        else:
-            session = TranslationSession(
-                origin_sdp=origin_sdp,
-                requester=requester,
-                request_stream=request_stream,
-                created_at_us=self._clock(),
-                session_id=source(),
-            )
+        session = TranslationSession(
+            origin_sdp=origin_sdp,
+            requester=requester,
+            request_stream=request_stream,
+            created_at_us=self._clock(),
+            session_id=self._session_id_source(),
+        )
         session.on_reply = on_reply
         self.sessions.append(session)
         self.stats.opened += 1

@@ -47,7 +47,7 @@ from .udp import Datagram, NULL_MEMO, ParseCounter
 if TYPE_CHECKING:  # pragma: no cover
     from .parallel import ShardedScheduler
 
-#: Base of each district's session-id block under a partitioned topology:
+#: Size of one session-id block; under a multi-district partition map,
 #: district ``p`` allocates ids from ``(p + 1) * SESSION_ID_BLOCK``.
 SESSION_ID_BLOCK = 10**8
 
@@ -127,9 +127,9 @@ class Network:
         #: on hand-built networks: all partition semantics stay off and
         #: behaviour is exactly the classic single-district model.
         self._pmap: PartitionMap | None = None
-        #: Per-district session-id counters (only when the frozen map has
-        #: more than one district); see :meth:`session_id_source`.
-        self._session_counters: list | None = None
+        #: Session-id blocks keyed by district or by a restarted host's
+        #: address; see :meth:`session_id_source`.
+        self._session_counters: dict = {0: itertools.count(1)}
         #: Instrumentation bundle (:class:`repro.obs.Recording`).  Defaults
         #: to the shared disabled singleton, so every recording site costs
         #: one attribute load and a falsy ``obs.on`` check until a builder
@@ -149,10 +149,6 @@ class Network:
         #: time).  Entries live from :meth:`crash_node` to
         #: :meth:`restart_node`.
         self._crash_info: dict[str, tuple[Node, list[Segment]]] = {}
-        #: Per-node session-id counters minted by :meth:`restart_node`
-        #: (a restarted instance allocates from a fresh block so it can
-        #: never reuse a pre-crash session id).
-        self._node_session_counters: dict = {}
         #: Fleet-wide restart ordinal; grows in workload-step order, which
         #: is identical on every engine, so restart blocks are deterministic.
         self._restart_count = 0
@@ -407,7 +403,7 @@ class Network:
             segment.attach(node)
         self._restart_count += 1
         base = (RESTART_SESSION_BLOCK + self._restart_count) * SESSION_ID_BLOCK
-        self._node_session_counters[node.address] = itertools.count(base)
+        self._session_counters[node.address] = itertools.count(base)
         self._note_topology_change()
         obs = self.obs
         if obs.on:
@@ -590,17 +586,17 @@ class Network:
         firing on the same wheel, and the single-threaded oracle must make
         identical delay decisions), so membership is a build-time property.
 
-        Multi-district maps also switch session-id allocation to disjoint
-        per-district blocks, so the single, inline, and multiprocess
-        backends all mint identical ids (a global counter's values would
-        depend on cross-district interleaving).
+        A multi-district map also replaces session-id block 0 with one
+        disjoint block per district, so the single, inline, and
+        multiprocess backends all mint identical ids (one shared block's
+        values would depend on cross-district interleaving).
         """
         self._pmap = pmap
         if pmap.count > 1:
-            self._session_counters = [
-                itertools.count((pid + 1) * SESSION_ID_BLOCK)
+            self._session_counters.update(
+                (pid, itertools.count((pid + 1) * SESSION_ID_BLOCK))
                 for pid in range(pmap.count)
-            ]
+            )
 
     def attach_engine(self, engine: "ShardedScheduler") -> None:
         """Bind a partitioned engine (its façade is ``self.scheduler``).
@@ -659,22 +655,19 @@ class Network:
             return self.scheduler
         return engine.shards[self.partition_of_node(node)]
 
-    def session_id_source(self, node: Node) -> Callable[[], int] | None:
-        """Per-district session-id allocator, or ``None`` for the classic
-        global counter (single-district topologies are unchanged).
+    def session_id_source(self, node: Node) -> Callable[[], int]:
+        """The only source of session ids: ``node``'s district block
+        (block 0, ids from 1, on single-district and hand-built networks).
 
         A host that came back through :meth:`restart_node` allocates from
         its own fresh restart block instead — on any topology — so a
         restarted instance can never mint a pre-crash session id.
         """
-        override = self._node_session_counters.get(node.address)
-        if override is not None:
-            return lambda: next(override)
         counters = self._session_counters
-        if counters is None:
-            return None
-        counter = counters[self.partition_of_node(node)]
-        return lambda: next(counter)
+        counter = counters.get(node.address)
+        if counter is None:
+            counter = counters[self.partition_of_node(node)]
+        return counter.__next__
 
     def node_at(self, address: str) -> Optional[Node]:
         return self._nodes.get(address)

@@ -668,7 +668,10 @@ class UpnpUnit(Unit):
         if cached is not None and cached[0] == fingerprint:
             message = cached[1]
         else:
-            session = TranslationSession(origin_sdp="upnp", requester=None)
+            node = self.runtime.node
+            session = TranslationSession(  # the export path needs a unique id
+                "upnp", None, session_id=node.network.session_id_source(node)()
+            )
             session.vars["export_location"] = self.exporter.export(
                 record, session.session_id
             )

@@ -24,6 +24,7 @@ Only ``run`` builds a network — validation is pure spec analysis.
 
 from __future__ import annotations
 
+import inspect
 import sys
 
 from .partition import spec_partition_map
@@ -58,7 +59,15 @@ def _spec_for(name: str, params: dict) -> WorldSpec:
     except KeyError:
         known = ", ".join(sorted(SCENARIO_SPECS))
         raise SystemExit(f"unknown scenario {name!r}; known: {known}") from None
-    return builder(**params)
+    accepted = inspect.signature(builder).parameters
+    unknown = ", ".join(repr(key) for key in params if key not in accepted)
+    if unknown:
+        raise SystemExit(f"{name} takes no parameter {unknown}; "
+                         f"accepted: {', '.join(accepted) or 'none'}")
+    try:
+        return builder(**params)
+    except ValueError as exc:
+        raise SystemExit(f"invalid {name} parameters: {exc}") from None
 
 
 def cmd_list() -> int:

@@ -1,5 +1,7 @@
 """Session lifecycle: dedup window semantics and completion accounting."""
 
+import itertools
+
 from repro.core.events import (
     Event,
     SDP_RES_OK,
@@ -73,20 +75,20 @@ def _open(manager, origin="slp", requester=None, on_reply=None):
 
 class TestSessionManager:
     def test_requester_scope_key_includes_xid_and_requester(self):
-        manager = SessionManager(Clock(), 1_000, dedup_scope="requester")
+        manager = SessionManager(Clock(), 1_000, itertools.count(1).__next__, dedup_scope="requester")
         base = manager.dedup_key("slp", Endpoint("h", 1), "service:clock", "clock", 7)
         assert manager.dedup_key("slp", Endpoint("h", 1), "service:clock", "clock", 8) != base
         assert manager.dedup_key("slp", Endpoint("h", 2), "service:clock", "clock", 7) != base
 
     def test_service_type_scope_collapses_requesters(self):
-        manager = SessionManager(Clock(), 1_000, dedup_scope="service-type")
+        manager = SessionManager(Clock(), 1_000, itertools.count(1).__next__, dedup_scope="service-type")
         a = manager.dedup_key("slp", Endpoint("h", 1), "service:clock", "clock", 7)
         b = manager.dedup_key("slp", Endpoint("h", 2), "service:clock", "clock", 99)
         assert a == b
         assert manager.dedup_key("upnp", Endpoint("h", 1), "x", "clock", 7) != a
 
     def test_duplicate_suppression_counts(self):
-        manager = SessionManager(Clock(), 1_000)
+        manager = SessionManager(Clock(), 1_000, itertools.count(1).__next__)
         key = ("slp", "h", "t", 1)
         assert not manager.is_duplicate(key)
         assert manager.is_duplicate(key)
@@ -95,9 +97,10 @@ class TestSessionManager:
     def test_open_and_accounting(self):
         clock = Clock()
         clock.now = 42
-        manager = SessionManager(clock, 1_000)
+        manager = SessionManager(clock, 1_000, itertools.count(1).__next__)
         session = _open(manager)
         assert session.created_at_us == 42
+        assert session.session_id == 1
         assert manager.stats.opened == 1
         assert manager.active() == [session]
         manager.record_completed()
@@ -105,7 +108,7 @@ class TestSessionManager:
         assert (manager.stats.completed, manager.stats.timed_out) == (1, 1)
 
     def test_cache_answer_accounting_marks_session(self):
-        manager = SessionManager(Clock(), 1_000)
+        manager = SessionManager(Clock(), 1_000, itertools.count(1).__next__)
         session = _open(manager)
         manager.record_cache_answer(session)
         assert session.answered_from_cache
@@ -114,7 +117,7 @@ class TestSessionManager:
 
     def test_unknown_scope_rejected(self):
         try:
-            SessionManager(Clock(), 1_000, dedup_scope="bogus")
+            SessionManager(Clock(), 1_000, itertools.count(1).__next__, dedup_scope="bogus")
         except ValueError:
             pass
         else:

@@ -104,7 +104,13 @@ def test_restart_mints_fresh_session_block():
     pre-crash id, and ordered by restart ordinal on every engine."""
     net = make_net()
     a, b = net.add_node("a"), net.add_node("b")
-    assert net.session_id_source(a) is None  # classic global counter
+    # Before any restart every host draws from block 0, ids from 1, and
+    # two fresh networks mint the same sequence.
+    source = net.session_id_source(a)
+    assert [source(), source()] == [1, 2]
+    other = make_net()
+    source = other.session_id_source(other.add_node("a"))
+    assert [source(), source()] == [1, 2]
     net.crash_node(a)
     net.restart_node(a)
     source = net.session_id_source(a)
@@ -115,7 +121,7 @@ def test_restart_mints_fresh_session_block():
     assert net.session_id_source(b)() == (RESTART_SESSION_BLOCK + 2) * SESSION_ID_BLOCK
     # The non-restarted path is untouched by someone else's restart.
     c = net.add_node("c")
-    assert net.session_id_source(c) is None
+    assert net.session_id_source(c)() == 3
 
 
 def test_scheduled_crash_and_restart():

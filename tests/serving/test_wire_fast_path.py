@@ -8,13 +8,11 @@ world tests pin that on live traffic and check that ``parse_once=False``
 still decodes every frame without moving the simulation.
 """
 
-import itertools
 import json
 from dataclasses import replace
 
 from hypothesis import given, strategies as st
 
-from repro.core import session as session_module
 from repro.net import Network
 from repro.sdp.base import ServiceRecord
 from repro.serving import frontend as frontend_module, wire
@@ -131,9 +129,7 @@ SMALL = dict(
 )
 
 
-def run_small(monkeypatch, parse_once=True):
-    # Single-district worlds draw session ids from a process-global counter.
-    monkeypatch.setattr(session_module, "_session_ids", itertools.count(1))
+def run_small(parse_once=True):
     world = World.build(serving_backbone_spec(**SMALL), seed=5, parse_once=parse_once)
     world.net.scheduler.fire_log = []
     world.run_workload()
@@ -150,7 +146,7 @@ def test_every_serving_frame_carries_a_hint_equal_to_its_decode(monkeypatch):
         return send(self, sender, source, destination, payload, decode_hint)
 
     monkeypatch.setattr(Network, "send_datagram", capture)
-    world = run_small(monkeypatch)
+    world = run_small()
     kinds = {}
     for payload, hint in seen:
         assert payload == wire.encode(hint)
@@ -177,10 +173,10 @@ def test_parse_once_off_decodes_every_frame_and_changes_nothing(monkeypatch):
         return reference_decode(payload)
 
     monkeypatch.setattr(wire, "decode", counting_decode)
-    shared = run_small(monkeypatch, parse_once=True)
+    shared = run_small(parse_once=True)
     shared_decodes = len(decodes)
     decodes.clear()
-    unshared = run_small(monkeypatch, parse_once=False)
+    unshared = run_small(parse_once=False)
 
     assert shared.net.scheduler.fire_log == unshared.net.scheduler.fire_log
     assert len(shared.net.scheduler.fire_log) > 500

@@ -8,12 +8,10 @@ perturbing it, and the per-district timelines merged from forked
 workers must equal the inline timeline record for record.
 """
 
-import itertools
 import re
 
 import pytest
 
-import repro.core.session as session_module
 from repro.world import World, run_world, run_world_mp
 from repro.world.engine import run_world_partitioned
 from repro.world.scenarios import district_grid_spec, metro_backbone_spec
@@ -24,11 +22,6 @@ METRO_PARAMS = {"districts": 2, "leaves_per_district": 3, "nodes": 300,
 
 #: Extras keys that only exist on recorded runs (percentiles from rows).
 _LATENCY_KEY = re.compile(r"_latency_(count|p\d+_us)$")
-
-
-def _run(spec, seed, engine, record=False):
-    session_module._session_ids = itertools.count(1)
-    return run_world(spec, seed=seed, engine=engine, record=record)
 
 
 def _strip_latency_keys(extras: dict) -> dict:
@@ -47,14 +40,14 @@ def _signature(outcome):
 
 class TestRecordingIsTransparent:
     def test_outcome_metrics_absent_when_off(self):
-        outcome = _run(metro_backbone_spec(**METRO_PARAMS), 0, "single")
+        outcome = run_world(metro_backbone_spec(**METRO_PARAMS), seed=0, engine="single")
         assert outcome.metrics is None
         assert not any(_LATENCY_KEY.search(k) for k in outcome.extras)
 
     def test_recording_does_not_perturb_the_schedule(self):
         spec = metro_backbone_spec(**METRO_PARAMS)
-        plain = _run(spec, 0, "single")
-        recorded = _run(spec, 0, "single", record=True)
+        plain = run_world(spec, seed=0, engine="single")
+        recorded = run_world(spec, seed=0, engine="single", record=True)
         sig_plain = _signature(plain)
         sig_recorded = _signature(recorded)
         sig_recorded["extras"] = _strip_latency_keys(sig_recorded["extras"])
@@ -62,7 +55,7 @@ class TestRecordingIsTransparent:
 
     def test_chatter_percentiles_appear_only_when_recorded(self):
         spec = metro_backbone_spec(**METRO_PARAMS)
-        recorded = _run(spec, 0, "single", record=True)
+        recorded = run_world(spec, seed=0, engine="single", record=True)
         assert recorded.extras["chatter_latency_count"] > 0
         p50 = recorded.extras["chatter_latency_p50_us"]
         p99 = recorded.extras["chatter_latency_p99_us"]
@@ -73,7 +66,6 @@ class TestRecordedRunContents:
     @pytest.fixture(scope="class")
     def recorded(self):
         spec = metro_backbone_spec(**METRO_PARAMS)
-        session_module._session_ids = itertools.count(1)
         world = World.build(spec, record=True)
         world.run_workload()
         return world, world.outcome()
@@ -120,8 +112,8 @@ class TestRecordedRunContents:
 class TestRecordedEngineParity:
     def test_single_vs_partitioned_bit_identical(self):
         spec = district_grid_spec(**GRID_PARAMS)
-        single = _run(spec, 0, "single", record=True)
-        sharded = _run(spec, 0, "partitioned", record=True)
+        single = run_world(spec, seed=0, engine="single", record=True)
+        sharded = run_world(spec, seed=0, engine="partitioned", record=True)
         assert _signature(sharded) == _signature(single)
         # Simulation-level counters and histograms are engine-independent.
         # The engine's own self-description is engine-specific by design:
@@ -142,7 +134,6 @@ class TestRecordedEngineParity:
 
     def test_engine_timeline_has_window_and_stall_spans(self):
         spec = district_grid_spec(**GRID_PARAMS)
-        session_module._session_ids = itertools.count(1)
         world = World.build(spec, engine="partitioned", record=True)
         world.run_workload()
         records = world.recording.trace.records
@@ -157,9 +148,7 @@ class TestRecordedEngineParity:
         """The ISSUE's hardest acceptance line: forked per-district
         workers, recording on, merged timelines == inline, bit for bit."""
         spec = district_grid_spec(**GRID_PARAMS)
-        session_module._session_ids = itertools.count(1)
         inline = run_world_partitioned(spec, seed=0, record=True)
-        session_module._session_ids = itertools.count(1)
         mp = run_world_mp(spec, seed=0, record=True)
         assert mp["backend"] == "multiprocess"
         for key in ("partitions", "lookahead_us", "events_fired",
@@ -175,7 +164,6 @@ class TestRecordedEngineParity:
 
     def test_mp_without_recording_has_no_obs(self):
         spec = district_grid_spec(**GRID_PARAMS)
-        session_module._session_ids = itertools.count(1)
         assert run_world_partitioned(spec, seed=0)["obs"] is None
 
 
@@ -184,7 +172,6 @@ class TestRunCli:
         from repro.world.__main__ import main
 
         monkeypatch.chdir(tmp_path)
-        session_module._session_ids = itertools.count(1)
         code = main(["prog", "run", "slp_to_upnp_gateway",
                      "--trace", "--metrics"])
         assert code == 0
@@ -207,6 +194,5 @@ class TestRunCli:
         from repro.world.__main__ import main
 
         monkeypatch.chdir(tmp_path)
-        session_module._session_ids = itertools.count(1)
         assert main(["prog", "run", "slp_to_upnp_gateway"]) == 0
         assert list(tmp_path.iterdir()) == []

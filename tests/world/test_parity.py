@@ -17,11 +17,8 @@ The scale scenarios run under the catalog's SMALL_SCALE_OVERRIDES so
 tier-1 stays fast.
 """
 
-import itertools
-
 import pytest
 
-import repro.core.session as session_module
 from repro.world import run_world
 from repro.world.scenarios import SCENARIO_SPECS, SMALL_SCALE_OVERRIDES
 
@@ -42,23 +39,10 @@ CATALOG_NAME = {
 }
 
 
-def _run(fn, **kwargs):
-    """Run one scenario with the process-global session-id counter reset.
-
-    Session ids leak into wire payloads (translated USNs and export
-    paths), so payload *lengths* — and with them serialization delays —
-    depend on how many sessions earlier tests burned.  Resetting the
-    counter gives the legacy oracle and the spec-built world the same
-    environment, which is the property under test.
-    """
-    session_module._session_ids = itertools.count(1)
-    return fn(**kwargs)
-
-
 def _modern(name, seed, **params):
-    """The catalog spec for legacy key ``name``, run like ``_run``."""
+    """The catalog spec for legacy key ``name``, run with ``seed``."""
     spec = SCENARIO_SPECS[CATALOG_NAME.get(name, name)](**params)
-    return _run(run_world, spec=spec, seed=seed)
+    return run_world(spec=spec, seed=seed)
 
 
 def _small(name):
@@ -79,7 +63,7 @@ def _outcome_signature(outcome):
 @pytest.mark.parametrize("name", sorted(LEGACY))
 def test_spec_built_scenario_matches_legacy_builder(name):
     kwargs = _small(name)
-    legacy = _run(LEGACY[name], seed=0, **kwargs)
+    legacy = LEGACY[name](seed=0, **kwargs)
     modern = _modern(name, seed=0, **kwargs)
     assert _outcome_signature(modern) == _outcome_signature(legacy)
 
@@ -88,13 +72,13 @@ def test_spec_built_scenario_matches_legacy_builder(name):
 def test_parity_holds_across_seeds(name):
     kwargs = _small(name)
     for seed in (1, 4):
-        legacy = _run(LEGACY[name], seed=seed, **kwargs)
+        legacy = LEGACY[name](seed=seed, **kwargs)
         modern = _modern(name, seed=seed, **kwargs)
         assert _outcome_signature(modern) == _outcome_signature(legacy)
 
 
 def test_warm_cache_off_variant_matches():
-    legacy = _run(LEGACY["fig9_upnp_to_slp_client_side"], seed=2, warm_cache=False)
+    legacy = LEGACY["fig9_upnp_to_slp_client_side"](seed=2, warm_cache=False)
     modern = _modern("fig9_upnp_to_slp_client_side", seed=2, warm_cache=False)
     assert _outcome_signature(modern) == _outcome_signature(legacy)
 
@@ -103,7 +87,7 @@ def test_federated_campus_extras_values_match():
     """Beyond key-set parity: the federation family's measured values are
     what downstream tests assert on, so they must match exactly too."""
     kwargs = {"segments": 5, "nodes": 60}
-    legacy = _run(LEGACY["federated_campus"], seed=0, **kwargs)
+    legacy = LEGACY["federated_campus"](seed=0, **kwargs)
     modern = _modern("federated_campus", seed=0, **kwargs)
     for key in (
         "warm_members_after_gossip",
@@ -120,7 +104,7 @@ def test_federated_campus_extras_values_match():
 
 def test_sharded_backbone_per_type_matches():
     kwargs = {"members": 4, "nodes": 80, "service_types": 4}
-    legacy = _run(LEGACY["sharded_backbone"], seed=0, **kwargs)
+    legacy = LEGACY["sharded_backbone"](seed=0, **kwargs)
     modern = _modern("sharded_backbone", seed=0, **kwargs)
     assert modern.extras["per_type"] == legacy.extras["per_type"]
     assert modern.extras["owner_spread"] == legacy.extras["owner_spread"]

@@ -10,11 +10,8 @@ conservative-lookahead windows and cross-district frame batches actually
 engage.
 """
 
-import itertools
-
 import pytest
 
-import repro.core.session as session_module
 from repro.world import SpecError, World, run_world, run_world_mp, spec_partition_map
 from repro.world.engine import run_world_partitioned
 from repro.world.scenarios import (
@@ -38,13 +35,6 @@ SCALE["serving_grid"] = (
 )
 
 
-def _run(spec, seed, engine):
-    """One engine run with the process-global session counter reset, so
-    both engines mint identical wire payloads (see test_parity._run)."""
-    session_module._session_ids = itertools.count(1)
-    return run_world(spec, seed=seed, engine=engine)
-
-
 def _signature(outcome):
     return {
         "events_fired": outcome.world.scheduler.events_fired,
@@ -60,8 +50,8 @@ def _signature(outcome):
 def test_partitioned_engine_matches_single_oracle(name, seed):
     builder, params = SCALE[name]
     spec = builder(**params)
-    single = _run(spec, seed, "single")
-    sharded = _run(spec, seed, "partitioned")
+    single = run_world(spec, seed=seed, engine="single")
+    sharded = run_world(spec, seed=seed, engine="partitioned")
     assert _signature(sharded) == _signature(single)
 
 
@@ -91,9 +81,7 @@ def test_catalog_scale_worlds_collapse_to_one_district():
 def test_multiprocess_backend_matches_inline():
     spec = district_grid_spec(districts=3, leaves_per_district=2,
                               run_us=2_000_000)
-    session_module._session_ids = itertools.count(1)
     inline = run_world_partitioned(spec, seed=0)
-    session_module._session_ids = itertools.count(1)
     mp = run_world_mp(spec, seed=0)
     assert mp["backend"] == "multiprocess"
     assert mp["processes"] == 3
@@ -112,9 +100,7 @@ def test_multiprocess_backend_matches_inline_for_serving():
     spec = serving_grid_spec(districts=3, leaves_per_district=2,
                              clients_per_leaf=1, queries_per_client=8,
                              run_us=2_000_000)
-    session_module._session_ids = itertools.count(1)
     inline = run_world_partitioned(spec, seed=0)
-    session_module._session_ids = itertools.count(1)
     mp = run_world_mp(spec, seed=0)
     assert mp["backend"] == "multiprocess"
     assert mp["processes"] == 3
@@ -129,7 +115,6 @@ def test_multiprocess_backend_matches_inline_for_serving():
 
 def test_mp_driver_falls_back_inline_for_single_district():
     builder, params = SCALE["churn_backbone"]
-    session_module._session_ids = itertools.count(1)
     result = run_world_mp(builder(**params), seed=0)
     assert result["backend"] == "inline"
     assert result["partitions"] == 1
@@ -141,8 +126,8 @@ def test_churn_under_partitioned_engine_matches_single():
     the run must stay bit-identical to the single wheel's."""
     builder, params = SCALE["churn_backbone"]
     spec = builder(**params)
-    single = _run(spec, 0, "single")
-    sharded = _run(spec, 0, "partitioned")
+    single = run_world(spec, seed=0, engine="single")
+    sharded = run_world(spec, seed=0, engine="partitioned")
     assert sharded.extras["churn_rejoins"] == single.extras["churn_rejoins"] > 0
     assert _signature(sharded) == _signature(single)
 

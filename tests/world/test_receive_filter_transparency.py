@@ -7,15 +7,15 @@ identical, apart from the count of shared decodes (with filters ignored,
 handlers decode frames they then drop).  The lossy variants put a
 Bernoulli loss model on one leaf segment, which pins the per-receiver
 loss-draw order: the draw happens before the filter is consulted, so
-filtered receivers still draw.
+filtered receivers still draw.  Both runs share one process; each world's
+network mints its own session ids, so the first run cannot shift the
+second's payloads.
 """
 
-import itertools
 from dataclasses import replace
 
 import pytest
 
-from repro.core import session as session_module
 from repro.net import UdpSocket
 from repro.world import Fault, World
 from repro.world.scenarios import district_grid_spec, media_city_spec, serving_backbone_spec
@@ -43,9 +43,7 @@ WORLDS = {
 }
 
 
-def run(monkeypatch, name: str, lossy: bool):
-    # Single-district worlds draw session ids from a process-global counter.
-    monkeypatch.setattr(session_module, "_session_ids", itertools.count(1))
+def run(name: str, lossy: bool):
     build_spec, leaf = WORLDS[name]
     spec = build_spec()
     if lossy:
@@ -80,20 +78,20 @@ def ignore_filters(monkeypatch):
 @pytest.mark.parametrize("lossy", [False, True], ids=["clean", "lossy"])
 @pytest.mark.parametrize("name", ["serving_backbone", "district_grid"])
 def test_filters_do_not_change_the_run(monkeypatch, name, lossy):
-    filtered = run(monkeypatch, name, lossy)
+    filtered = run(name, lossy)
     ignore_filters(monkeypatch)
-    unfiltered = run(monkeypatch, name, lossy)
+    unfiltered = run(name, lossy)
     assert len(filtered["fire_log"]) > 100
     assert filtered == unfiltered
     if lossy:
-        clean = run(monkeypatch, name, lossy=False)
+        clean = run(name, lossy=False)
         assert filtered["fire_log"] != clean["fire_log"], "the leaf lost frames"
 
 
 def test_control_point_filters_do_not_change_the_run(monkeypatch):
-    filtered = run(monkeypatch, "media_city", lossy=False)
+    filtered = run("media_city", lossy=False)
     ignore_filters(monkeypatch)
-    assert filtered == run(monkeypatch, "media_city", lossy=False)
+    assert filtered == run("media_city", lossy=False)
 
 
 def test_filters_are_declared_where_handlers_dropped_frames():

@@ -155,3 +155,21 @@ class TestCli:
     def test_describe_invalid_params_fail_fast(self):
         result = _cli("describe", "gateway_chain", "segments=1")
         assert result.returncode != 0
+
+    def test_unknown_param_lists_the_accepted_ones(self):
+        result = _cli("run", "native_slp", "nodes=3")
+        assert result.returncode != 0
+        assert result.stderr.strip() == (
+            "native_slp takes no parameter 'nodes'; accepted: none"
+        )
+        result = _cli("describe", "gateway_chain", "sgments=4")
+        assert result.stderr.strip().endswith("accepted: segments")
+
+    def test_builder_shape_error_is_one_line(self):
+        for args in (("media_city", "districts=100"),
+                     ("federated_campus", "segments=1")):
+            result = _cli("describe", *args)
+            assert result.returncode != 0
+            lines = result.stderr.strip().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"invalid {args[0]} parameters: ")
