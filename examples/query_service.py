@@ -119,14 +119,14 @@ def main() -> None:
     print(f"repeat lookup service:printer -> {hit['status']}")
 
     # Phase 4: honesty under partition.
-    world._apply_step(Fault("detach", host="gateway1"))
+    world.apply(Fault("detach", host="gateway1"))
     world.run(1_200_000)
     mid = client.ask("gateway0", wire.request("type", 7,
                                               st="service:thermostat"))
     print(f"\nmid-partition staleness stamp: {mid['staleness_us'] / 1000:.1f} ms"
           f" (stale flag: {mid.get('stale', False)})")
 
-    world._apply_step(Heal("attach", host="gateway1"))
+    world.apply(Heal("attach", host="gateway1"))
     world.run(NOTIFY_US + 3 * GOSSIP_US + 300_000)
     healed = client.ask("gateway0", wire.request("type", 8,
                                                  st="service:thermostat"))

@@ -18,8 +18,8 @@
 * :mod:`repro.world.scenarios` — the registered scenario catalog
   (``SCENARIO_SPECS``), from the paper's Figs. 7-9 configurations to the
   metro/media scale workloads and the spec-only churn/district sweeps;
-* ``python -m repro.world list|describe|validate`` — schema and
-  subnet-budget validation of every registered spec, without running one.
+* ``python -m repro.world list|describe|validate`` — schema, subnet-budget
+  and partition-map validation of every registered spec, without running one.
 """
 
 from .build import BuildError, ProbeHandle, World, run_world

@@ -8,6 +8,7 @@ Commands:
   numbers), including the computed district partition map the parallel
   engine would use;
 * ``validate`` — schema + subnet-budget checks over **every** registered
+  spec, plus the district partition map of every ``partitioned=True``
   spec, exiting non-zero on the first failure.  CI runs this as a fast
   pre-test step: a malformed scenario fails in milliseconds, before any
   simulation runs;
@@ -200,7 +201,9 @@ def cmd_validate() -> int:
         try:
             spec = builder()
             spec.validate()
-        except (SpecError, ValueError) as exc:
+            if spec.partitioned:
+                spec_partition_map(spec)
+        except ValueError as exc:
             failures.append(f"{name}: {exc}")
             continue
         print(f"{name}: ok")

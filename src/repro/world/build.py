@@ -8,6 +8,12 @@ preserved element-for-element, which is why spec-built worlds reproduce
 the legacy builders' event schedules bit-for-bit (the golden-parity tests
 in ``tests/world`` pin this).
 
+Elements, nested apps and workload steps all dispatch through
+:data:`SPEC_TABLE` (``World.apply``).  The spec is validated first, so a
+handler re-checks only runtime state: a ``Heal(attach)`` of a host not
+detached, a ``Restart`` of a host not crashed, a ``RingOwnerLeaf`` before
+its fleet or on an empty ring, and a failed ``Check``.
+
 The returned :class:`World` is the run-control surface:
 
 * ``run(duration_us)`` / ``run_until(predicate, horizon_us)`` advance
@@ -24,7 +30,7 @@ import random
 from typing import Callable, Optional
 
 from ..core import Indiss, IndissConfig
-from ..net import Endpoint, Network, NetworkError, shared_decode
+from ..net import Endpoint, Network, NetworkError, make_loss_model, shared_decode
 from ..net.parallel import ShardedScheduler
 from ..net.partition import network_partition_map
 from ..obs import Recording
@@ -58,6 +64,7 @@ from .spec import (
     GenaFeed,
     GenaSubscriber,
     HostSpec,
+    INDISS_PROFILES,
     IndissApp,
     JiniListener,
     JiniRegistrar,
@@ -236,7 +243,7 @@ class World:
             net.obs = recording
             world.recording = recording
         for element in spec.elements:
-            world._apply_element(element)
+            world.apply(element)
         if pmap is not None:
             live = network_partition_map(net)
             if live.pid_of != pmap.pid_of or live.lookahead_us != pmap.lookahead_us:
@@ -247,59 +254,51 @@ class World:
                 )
         return world
 
-    def _apply_element(self, element) -> None:
-        if isinstance(element, SegmentSpec):
-            latency = None
-            if element.seed_offset is not None:
-                latency = self.costs.latency_model(self.seed + element.seed_offset)
-            segment = self.net.add_segment(
-                element.name, subnet=element.subnet, latency=latency
-            )
-            if element.link_to is not None:
-                if element.link_latency_us is not None:
-                    self.net.link(
-                        element.link_to, segment, latency_us=element.link_latency_us
-                    )
-                else:
-                    self.net.link(element.link_to, segment)
-        elif isinstance(element, HostSpec):
-            segment = self._resolve_segment(element.segment)
-            node = self.net.add_node(element.name, segment=segment)
-            self.hosts[element.name] = node
-            for app in element.apps:
-                self._apply_app(app, element.name)
-        elif isinstance(element, BridgeSpec):
-            self.net.bridge(self.hosts[element.host], *element.segments)
-        elif isinstance(element, FleetSpec):
-            from ..federation import GatewayFleet
+    def apply(self, item, *host: str) -> None:
+        """Apply one element, app (``host``: its HostSpec, when nested) or
+        workload step through :data:`SPEC_TABLE`."""
+        SPEC_TABLE[type(item)](self, item, *host)
 
-            fleet = GatewayFleet(
-                self.net,
-                element.backbone,
-                wire_utilization=element.wire_utilization,
-                cold_start_escalation=element.cold_start_escalation,
-                suspect_after=element.suspect_after,
-                dead_after=element.dead_after,
-            )
-            for member in element.members:
-                fleet.join(
-                    self._app(member, "indiss"),
-                    gossip_period_us=element.gossip_period_us,
-                    catchup_after=element.catchup_after,
+    def _add_segment(self, element: SegmentSpec) -> None:
+        latency = None
+        if element.seed_offset is not None:
+            latency = self.costs.latency_model(self.seed + element.seed_offset)
+        segment = self.net.add_segment(
+            element.name, subnet=element.subnet, latency=latency
+        )
+        if element.link_to is not None:
+            if element.link_latency_us is not None:
+                self.net.link(
+                    element.link_to, segment, latency_us=element.link_latency_us
                 )
-            self.fleets[element.name] = fleet
-            self._fleet_specs[element.name] = element
-        elif isinstance(element, Fill):
-            self._fill(element.total_nodes)
-        elif isinstance(element, Ping):
-            self._start_ping(element)
-        elif isinstance(element, (Chatter, CpChatter, QueryLoad)):
-            self._apply_step(element)
-        else:  # a standalone app spec carrying its own host reference
-            host = getattr(element, "host", None)
-            if host is None and isinstance(element, GenaFeed):
-                host = element.publisher_host
-            self._apply_app(element, host)
+            else:
+                self.net.link(element.link_to, segment)
+
+    def _add_host(self, element: HostSpec) -> None:
+        segment = self._resolve_segment(element.segment)
+        self.hosts[element.name] = self.net.add_node(element.name, segment=segment)
+        for app in element.apps:
+            self.apply(app, element.name)
+
+    def _add_fleet(self, element: FleetSpec) -> None:
+        from ..federation import GatewayFleet
+
+        fleet = GatewayFleet(
+            self.net,
+            element.backbone,
+            wire_utilization=element.wire_utilization,
+            cold_start_escalation=element.cold_start_escalation,
+            suspect_after=element.suspect_after,
+            dead_after=element.dead_after,
+        )
+        for member in element.members:
+            fleet.join(
+                self._app(member, "indiss"),
+                gossip_period_us=element.gossip_period_us,
+                catchup_after=element.catchup_after,
+            )
+        self.fleets[element.name] = fleet
+        self._fleet_specs[element.name] = element
 
     def _resolve_segment(self, ref):
         if ref is None:
@@ -320,172 +319,157 @@ class World:
         return SlpConfig(timings=self.costs.slp, wait_us=wait_us, retries=retries)
 
     def _indiss_config(self, app: IndissApp) -> IndissConfig:
-        costs = self.costs
-        seed = self.seed + app.seed_offset
-        if app.profile == "paper":
-            return IndissConfig(
-                units=("slp", "upnp"),
-                deployment=app.deployment,
-                answer_from_cache=app.answer_from_cache,
-                timings=costs.indiss,
-                upnp_responder_delay_us=costs.indiss_upnp_responder_delay_us,
-                upnp_wait_us=300_000,
-                slp_wait_us=15_000,
-                seed=seed,
-            )
-        if app.profile == "chain":
-            return IndissConfig(
-                units=("slp", "upnp"),
-                deployment="gateway",
-                dispatch="gateway-forward",
-                timings=costs.indiss,
-                upnp_responder_delay_us=costs.indiss_upnp_responder_delay_us,
-                upnp_wait_us=300_000,
-                slp_wait_us=350_000,
-                seed=seed,
-            )
-        if app.profile == "fleet":
-            return IndissConfig(
-                units=("slp", "upnp"),
-                deployment="gateway",
-                dispatch="shard-ring",
-                timings=costs.indiss,
-                upnp_responder_delay_us=costs.indiss_upnp_responder_delay_us,
-                upnp_wait_us=300_000,
-                slp_wait_us=350_000,
-                seed=seed,
-            )
-        if app.profile == "slp-jini":
-            return IndissConfig(
-                units=("slp", "jini"),
-                deployment="gateway",
-                timings=costs.indiss,
-                slp_wait_us=15_000,
-                seed=seed,
-            )
-        if app.profile == "media":
-            return IndissConfig(
-                units=("slp", "upnp", "jini"),
-                deployment="gateway",
-                dispatch="shard-ring",
-                timings=costs.indiss,
-                upnp_responder_delay_us=costs.indiss_upnp_responder_delay_us,
-                upnp_wait_us=300_000,
-                slp_wait_us=350_000,
-                seed=seed,
-            )
-        raise BuildError(f"unknown INDISS profile {app.profile!r}")
+        units, dispatch, slp_wait_us, upnp_wait_us = INDISS_PROFILES[app.profile]
+        return IndissConfig(
+            units=units,
+            deployment=app.deployment,
+            answer_from_cache=app.answer_from_cache,
+            dispatch=dispatch,
+            timings=self.costs.indiss,
+            upnp_responder_delay_us=(
+                self.costs.indiss_upnp_responder_delay_us
+                if "upnp" in units
+                else IndissConfig.upnp_responder_delay_us
+            ),
+            upnp_wait_us=upnp_wait_us,
+            slp_wait_us=slp_wait_us,
+            seed=self.seed + app.seed_offset,
+        )
 
-    def _apply_app(self, app, host: Optional[str]) -> None:
-        if host is None:
-            raise BuildError(f"{type(app).__name__} has no host")
-        node = self.hosts[host]
-        if isinstance(app, SlpClient):
-            agent = UserAgent(
-                node, config=self._slp_config(wait_us=app.wait_us, retries=app.retries)
-            )
-            self._apps[(host, "ua")] = agent
-        elif isinstance(app, SlpService):
-            agent = ServiceAgent(node, config=self._slp_config())
-            for reg in app.registrations:
-                agent.register(
-                    SlpRegistration(
-                        url=reg.url.format(address=node.address),
-                        service_type=ServiceType.parse(reg.service_type),
-                        attributes=dict(reg.attributes),
-                    )
+    # App handlers build on the owning host's node and return the app
+    # (see ``_on_host``).
+
+    def _add_slp_client(self, app: SlpClient, node) -> UserAgent:
+        config = self._slp_config(wait_us=app.wait_us, retries=app.retries)
+        return UserAgent(node, config=config)
+
+    def _add_slp_service(self, app: SlpService, node) -> ServiceAgent:
+        agent = ServiceAgent(node, config=self._slp_config())
+        for reg in app.registrations:
+            agent.register(
+                SlpRegistration(
+                    url=reg.url.format(address=node.address),
+                    service_type=ServiceType.parse(reg.service_type),
+                    attributes=dict(reg.attributes),
                 )
-            self._apps[(host, "sa")] = agent
-        elif isinstance(app, ClockDevice):
-            kwargs = {}
-            if app.notify_period_us is not None:
-                kwargs["notify_period_us"] = app.notify_period_us
-            device = make_clock_device(
-                node,
-                timings=self.costs.upnp,
-                seed=self.seed + app.seed_offset,
-                advertise=app.advertise,
-                **kwargs,
             )
-            self.devices.append(device)
-            self._apps[(host, "device")] = device
-        elif isinstance(app, TypedDevice):
-            device = _make_typed_device(
-                node,
-                app.type_name,
-                self.costs,
-                self.seed + app.seed_offset,
-                advertise=app.advertise,
-                notify_period_us=app.notify_period_us,
-                udn_suffix=app.udn_suffix,
-            )
-            self.devices.append(device)
-            self._apps[(host, "device")] = device
-            self.placements[app.type_name] = node.segments[0].name
-        elif isinstance(app, ControlPoint):
-            self._apps[(host, "cp")] = UpnpControlPoint(node, timings=self.costs.upnp)
-        elif isinstance(app, IndissApp):
-            instance = Indiss(node, self._indiss_config(app))
-            self.instances.append(instance)
-            self._apps[(host, "indiss")] = instance
-        elif isinstance(app, QueryFrontendApp):
-            from ..serving import QueryFrontend
+        return agent
 
-            frontend = QueryFrontend(
-                self._app(host, "indiss"),
-                port=app.port,
-                stale_after_us=app.stale_after_us,
-                fallback=app.fallback,
-                fallback_window_us=app.fallback_window_us,
-            )
-            self.serving_frontends.append(frontend)
-            self._apps[(host, "frontend")] = frontend
-        elif isinstance(app, JiniRegistrar):
-            from ..sdp.jini import JiniTimings, LookupService, ServiceItem
+    def _add_clock_device(self, app: ClockDevice, node):
+        kwargs = {}
+        if app.notify_period_us is not None:
+            kwargs["notify_period_us"] = app.notify_period_us
+        device = make_clock_device(
+            node,
+            timings=self.costs.upnp,
+            seed=self.seed + app.seed_offset,
+            advertise=app.advertise,
+            **kwargs,
+        )
+        self.devices.append(device)
+        return device
 
-            kwargs = {}
-            if app.announce_period_us is not None:
-                kwargs["announce_period_us"] = app.announce_period_us
-            if app.service_id_seed is not None:
-                kwargs["service_id_seed"] = app.service_id_seed
-            registrar = LookupService(node, timings=JiniTimings(), **kwargs)
-            for item in app.items:
-                registrar.registry[item.service_id] = ServiceItem(
-                    service_id=item.service_id,
-                    class_names=item.class_names,
-                    attributes=dict(item.attributes),
-                    endpoint_url=item.endpoint_url.format(address=node.address),
+    def _add_typed_device(self, app: TypedDevice, node):
+        """A one-service UPnP device of the synthetic ``type_name`` type."""
+        from ..sdp.upnp import DeviceDescription, ServiceDescription, UpnpDevice
+
+        type_name = app.type_name
+        description = DeviceDescription(
+            device_type=f"urn:schemas-upnp-org:device:{type_name}:1",
+            friendly_name=f"Sensor {type_name}",
+            udn=f"uuid:{type_name}-device{app.udn_suffix}",
+            manufacturer="INDISS bench",
+            model_name=type_name,
+            services=[
+                ServiceDescription(
+                    service_type=f"urn:schemas-upnp-org:service:{type_name}:1",
+                    service_id=f"urn:upnp-org:serviceId:{type_name}:1",
+                    scpd_url=f"/service/{type_name}/scpd.xml",
+                    control_url=f"/service/{type_name}/control",
+                    event_sub_url=f"/service/{type_name}/event",
                 )
-            self._apps[(host, "jini")] = registrar
-        elif isinstance(app, JiniListener):
-            from ..sdp.jini import LookupDiscovery
+            ],
+        )
+        kwargs = {}
+        if app.notify_period_us is not None:
+            kwargs["notify_period_us"] = app.notify_period_us
+        device = UpnpDevice(
+            node, description, timings=self.costs.upnp,
+            seed=self.seed + app.seed_offset, advertise=app.advertise, **kwargs,
+        )
+        self.devices.append(device)
+        self.placements[type_name] = node.segments[0].name
+        return device
 
-            self._apps[(host, "jini")] = LookupDiscovery(node)
-        elif isinstance(app, GenaSubscriber):
-            from ..sdp.upnp.gena import EventSubscriber
+    def _add_control_point(self, app: ControlPoint, node) -> UpnpControlPoint:
+        return UpnpControlPoint(node, timings=self.costs.upnp)
 
-            publisher = self._app(app.publisher_host, "device")
-            subscriber = EventSubscriber(node, callback_port=app.callback_port)
-            self.gena_subscribers.append(subscriber)
-            service = publisher.description.services[app.service_index]
-            sub_url = (
-                f"http://{publisher.node.address}:{publisher.http_port}"
-                f"{service.event_sub_url}"
+    def _add_indiss(self, app: IndissApp, node) -> Indiss:
+        instance = Indiss(node, self._indiss_config(app))
+        self.instances.append(instance)
+        return instance
+
+    def _add_query_frontend(self, app: QueryFrontendApp, node):
+        from ..serving import QueryFrontend
+
+        frontend = QueryFrontend(
+            self._app(node.name, "indiss"),
+            port=app.port,
+            stale_after_us=app.stale_after_us,
+            fallback=app.fallback,
+            fallback_window_us=app.fallback_window_us,
+        )
+        self.serving_frontends.append(frontend)
+        return frontend
+
+    def _add_jini_registrar(self, app: JiniRegistrar, node):
+        from ..sdp.jini import JiniTimings, LookupService, ServiceItem
+
+        kwargs = {}
+        if app.announce_period_us is not None:
+            kwargs["announce_period_us"] = app.announce_period_us
+        if app.service_id_seed is not None:
+            kwargs["service_id_seed"] = app.service_id_seed
+        registrar = LookupService(node, timings=JiniTimings(), **kwargs)
+        for item in app.items:
+            registrar.registry[item.service_id] = ServiceItem(
+                service_id=item.service_id,
+                class_names=item.class_names,
+                attributes=dict(item.attributes),
+                endpoint_url=item.endpoint_url.format(address=node.address),
             )
-            node.schedule(
-                app.subscribe_delay_us, lambda u=sub_url, s=subscriber: s.subscribe(u)
-            )
-            self._apps[(host, "gena")] = subscriber
-        elif isinstance(app, GenaFeed):
-            publisher = self._app(app.publisher_host, "device")
-            properties = dict(app.properties)
-            publisher.node.every(
-                app.period_us,
-                lambda p=publisher, pr=properties: p.notify_state_change(pr),
-                initial_delay_us=app.initial_delay_us,
-            )
-        else:
-            raise BuildError(f"unsupported app spec {type(app).__name__}")
+        return registrar
+
+    def _add_jini_listener(self, app: JiniListener, node):
+        from ..sdp.jini import LookupDiscovery
+
+        return LookupDiscovery(node)
+
+    def _add_gena_subscriber(self, app: GenaSubscriber, node):
+        from ..sdp.upnp.gena import EventSubscriber
+
+        publisher = self._app(app.publisher_host, "device")
+        subscriber = EventSubscriber(node, callback_port=app.callback_port)
+        self.gena_subscribers.append(subscriber)
+        service = publisher.description.services[app.service_index]
+        sub_url = (
+            f"http://{publisher.node.address}:{publisher.http_port}"
+            f"{service.event_sub_url}"
+        )
+        node.schedule(
+            app.subscribe_delay_us, lambda u=sub_url, s=subscriber: s.subscribe(u)
+        )
+        return subscriber
+
+    def _add_gena_feed(self, app: GenaFeed, host=None) -> None:
+        """The feed runs on its publisher, whichever host it names."""
+        publisher = self._app(app.publisher_host, "device")
+        properties = dict(app.properties)
+        publisher.node.every(
+            app.period_us,
+            lambda p=publisher, pr=properties: p.notify_state_change(pr),
+            initial_delay_us=app.initial_delay_us,
+        )
 
     def _app(self, host: str, slot: str):
         try:
@@ -493,11 +477,11 @@ class World:
         except KeyError:
             raise BuildError(f"host {host!r} carries no {slot!r} app") from None
 
-    def _fill(self, total_nodes: int) -> None:
+    def _fill(self, step: Fill) -> None:
         """Pad segments round-robin with idle hosts up to ``total_nodes``."""
         segments = list(self.net.segments.values())
         existing = len(self.net.nodes)
-        for i in range(max(0, total_nodes - existing)):
+        for i in range(max(0, step.total_nodes - existing)):
             segment = segments[i % len(segments)]
             if not segment.has_free_address():
                 open_segments = [s for s in segments if s.has_free_address()]
@@ -556,7 +540,7 @@ class World:
     def run_workload(self) -> None:
         """Execute the spec's phased workload steps, in order."""
         for step in self.spec.workload:
-            self._apply_step(step)
+            self.apply(step)
 
     # -- probes and observers ------------------------------------------------
 
@@ -608,59 +592,25 @@ class World:
 
     # -- workload interpreter -------------------------------------------------
 
-    def _apply_step(self, step) -> None:
-        if isinstance(step, Run):
-            self.net.run(duration_us=step.duration_us)
-        elif isinstance(step, Fill):
-            self._fill(step.total_nodes)
-        elif isinstance(step, Probe):
-            self._issue_probe(step)
-        elif isinstance(step, Chatter):
-            self._start_chatter(step)
-        elif isinstance(step, CpChatter):
-            self._start_cp_chatter(step)
-        elif isinstance(step, QueryLoad):
-            self._start_query_load(step)
-        elif isinstance(step, Churn):
-            self._run_churn(step)
-        elif isinstance(step, Fault):
-            self._apply_fault(step)
-        elif isinstance(step, Heal):
-            self._apply_heal(step)
-        elif isinstance(step, Crash):
-            self._apply_crash(step)
-        elif isinstance(step, Restart):
-            self._apply_restart(step)
-        elif isinstance(step, SetConfig):
-            self._set_config(step)
-        elif isinstance(step, Snapshot):
-            self._snapshots[step.name] = {m: self.metric(m) for m in step.metrics}
-        elif isinstance(step, Delta):
-            base = self._snapshots[step.since][step.metric]
-            self.extras[step.key] = self.metric(step.metric) - base
-        elif isinstance(step, Collect):
-            row = self.collect(step.provider, **dict(step.params))
-            if step.key is None:
-                self.extras.update(row)
-            elif len(row) == 1 and step.key in row:
-                self.extras[step.key] = row[step.key]
-            else:
-                self.extras[step.key] = row
-        elif isinstance(step, Emit):
-            self.extras[step.key] = step.value
-        elif isinstance(step, Check):
-            self._check(step)
-        elif isinstance(step, TypeSweepReport):
-            self._type_sweep_report(step)
+    def _snapshot(self, step: Snapshot) -> None:
+        self._snapshots[step.name] = {m: self.metric(m) for m in step.metrics}
+
+    def _delta(self, step: Delta) -> None:
+        base = self._snapshots[step.since][step.metric]
+        self.extras[step.key] = self.metric(step.metric) - base
+
+    def _collect(self, step: Collect) -> None:
+        row = self.collect(step.provider, **dict(step.params))
+        if step.key is None:
+            self.extras.update(row)
+        elif len(row) == 1 and step.key in row:
+            self.extras[step.key] = row[step.key]
         else:
-            raise BuildError(f"unsupported workload step {type(step).__name__}")
+            self.extras[step.key] = row
 
     def _issue_probe(self, step: Probe) -> None:
         if step.host is not None:
-            node = self.hosts[step.host]
-            agent = self._apps.get((step.host, "cp" if step.kind == "upnp" else "ua"))
-            if agent is None:
-                raise BuildError(f"probe {step.name!r}: host {step.host!r} has no agent")
+            agent = self._app(step.host, "cp" if step.kind == "upnp" else "ua")
         else:
             node = self.net.add_node(
                 step.node_name or step.name, segment=self.net.segment(step.segment)
@@ -704,25 +654,10 @@ class World:
                 target = step.types[idx % len(step.types)]
                 stats = {"target": target, "issued": 0, "completed": 0, "found": 0}
 
-                def kick(ua=ua, target=target, stats=stats, net=self.net,
-                         group_name=step.group) -> None:
+                def kick(ua=ua, target=f"service:{target}", stats=stats,
+                         done=_search_done(self.net, stats, step.group, "results")):
                     stats["issued"] += 1
-
-                    def done(search, stats=stats, net=net,
-                             group_name=group_name) -> None:
-                        stats["completed"] += 1
-                        if search.results:
-                            stats["found"] += 1
-                        # Completion callbacks fire in event context, so in
-                        # the multiprocess backend only the owner worker
-                        # records — merged rows stay exact.
-                        if net.obs.on and search.first_latency_us is not None:
-                            note_row_latency(stats, search.first_latency_us)
-                            net.obs.metrics.histogram(
-                                "world.search.latency_us", group=group_name
-                            ).observe(search.first_latency_us)
-
-                    ua.find_services(f"service:{target}", on_complete=done)
+                    ua.find_services(target, on_complete=done)
 
                 node.every(
                     step.period_us,
@@ -746,21 +681,9 @@ class World:
                 st = f"urn:schemas-upnp-org:device:{target}:1"
                 stats = {"issued": 0, "completed": 0, "found": 0}
 
-                def kick(cp=cp, st=st, stats=stats, net=self.net,
-                         group_name=step.group) -> None:
+                def kick(cp=cp, st=st, stats=stats,
+                         done=_search_done(self.net, stats, step.group, "responses")):
                     stats["issued"] += 1
-
-                    def done(search, stats=stats, net=net,
-                             group_name=group_name) -> None:
-                        stats["completed"] += 1
-                        if search.responses:
-                            stats["found"] += 1
-                        if net.obs.on and search.first_latency_us is not None:
-                            note_row_latency(stats, search.first_latency_us)
-                            net.obs.metrics.histogram(
-                                "world.search.latency_us", group=group_name
-                            ).observe(search.first_latency_us)
-
                     cp.search(st, wait_us=step.wait_us, on_complete=done)
 
                 cp_node.every(
@@ -953,50 +876,43 @@ class World:
             record["ring_size_up"] = len(fleet.ring)
             self.net.run(duration_us=step.recover_us)
 
-    def _apply_fault(self, step: Fault) -> None:
+    def _adversity(self, step, *extra) -> None:
+        """Apply a Fault/Heal through its ``KINDS`` row: the operand the step
+        sets goes to that operand's Network primitive (a link as two segment
+        names, a segment or host as the live object), then ``extra``."""
+        for operand, primitive in type(step).KINDS[step.kind].items():
+            value = getattr(step, operand)
+            if value is None:
+                continue
+            if operand == "segment":
+                value = (self.net.segment(value),)
+            elif operand == "host":
+                value = (self.hosts[value],)
+            getattr(self.net, primitive)(*value, *extra)
+            return
+
+    def _fault(self, step: Fault) -> None:
         """Inject one adversity condition, effective at the current time."""
-        net = self.net
-        if step.kind == "cut":
-            net.cut_link(*step.link)
-        elif step.kind == "isolate":
-            net.isolate_segment(net.segment(step.segment))
-        elif step.kind == "degrade":
-            from ..net import make_loss_model
+        if step.kind == "degrade":
+            edge = "-".join(sorted(step.link)) if step.link else step.segment
+            model = make_loss_model(
+                step.model, step.rate, self.seed + step.seed_offset, edge
+            )
+            self._adversity(step, model)
+            return
+        if step.kind == "detach":
+            self._detached_hosts[step.host] = list(self.hosts[step.host].segments)
+        self._adversity(step)
 
-            seed = self.seed + step.seed_offset
-            if step.link is not None:
-                edge = "-".join(sorted(step.link))
-                model = make_loss_model(step.model, step.rate, seed, edge)
-                net.set_link_loss(step.link[0], step.link[1], model)
-            else:
-                segment = net.segment(step.segment)
-                model = make_loss_model(step.model, step.rate, seed, segment.name)
-                net.set_segment_loss(segment, model)
-        elif step.kind == "detach":
-            node = self.hosts[step.host]
-            self._detached_hosts[step.host] = list(node.segments)
-            net.detach_node(node)
-        else:
-            raise BuildError(f"unknown fault kind {step.kind!r}")
-
-    def _apply_heal(self, step: Heal) -> None:
+    def _heal(self, step: Heal) -> None:
         net = self.net
-        if step.kind == "link":
-            net.heal_link(*step.link)
-        elif step.kind == "segment":
-            net.heal_segment(net.segment(step.segment))
-        elif step.kind == "attach":
+        if step.kind == "attach":
             home = self._detached_hosts.pop(step.host, None)
             if home is None:
-                raise BuildError(
-                    f"heal attach: host {step.host!r} is not detached"
-                )
-            net.reattach_node(self.hosts[step.host], home)
+                raise BuildError(f"heal attach: host {step.host!r} is not detached")
+            self._adversity(step, home)
         elif step.kind == "clear":
-            if step.link is not None:
-                net.set_link_loss(step.link[0], step.link[1], None)
-            else:
-                net.set_segment_loss(net.segment(step.segment), None)
+            self._adversity(step, None)
         elif step.kind == "all":
             for pair in sorted(net.router.down_pairs()):
                 net.heal_link(*pair)
@@ -1009,7 +925,7 @@ class World:
                 net.reattach_node(self.hosts[host], self._detached_hosts[host])
             self._detached_hosts.clear()
         else:
-            raise BuildError(f"unknown heal kind {step.kind!r}")
+            self._adversity(step)
 
     def _member_fleet(self, host: str) -> Optional[str]:
         """The fleet a host's address is (still) a member of, if any."""
@@ -1019,7 +935,7 @@ class World:
                 return name
         return None
 
-    def _apply_crash(self, step: Crash) -> None:
+    def _crash(self, step: Crash) -> None:
         """Crash-stop one host, teardown ordered from the top down:
 
         1. fleet bookkeeping (the member's gossiper timer dies with the
@@ -1042,7 +958,7 @@ class World:
             indiss.crash()
         self.net.crash_node(node)
 
-    def _apply_restart(self, step: Restart) -> None:
+    def _restart(self, step: Restart) -> None:
         """Bring a crashed host back, rebuild ordered bottom-up: transport
         reattaches first (the monitor's multicast sockets need live
         segments to index under), then the INDISS cold rebuild, then
@@ -1076,14 +992,11 @@ class World:
             setattr(instance.config, step.attr, step.value)
 
     def _check(self, step: Check) -> None:
-        if step.kind == "cache_nonempty":
-            instance = self._app(step.host, "indiss")
-            if len(instance.cache) < 1:
-                raise BuildError(
-                    f"check failed: INDISS on {step.host!r} has an empty cache"
-                )
-        else:
-            raise BuildError(f"unknown check kind {step.kind!r}")
+        """``cache_nonempty``, the one Check kind."""
+        if len(self._app(step.host, "indiss").cache) < 1:
+            raise BuildError(
+                f"check failed: INDISS on {step.host!r} has an empty cache"
+            )
 
     def _type_sweep_report(self, step: TypeSweepReport) -> None:
         fleet = self.fleets[step.fleet]
@@ -1098,6 +1011,77 @@ class World:
                 "latency_us": handle.latency_us,
             }
         self.extras[step.key] = report
+
+
+def _search_done(net: Network, stats: dict, group: str, found: str) -> Callable:
+    """A background searcher's completion callback: count the search into
+    ``stats`` (``found`` names its answer list) and, while recording, its
+    first-answer latency.  Completion callbacks fire in event context, so in
+    the multiprocess backend only the owner worker records — merged rows
+    stay exact."""
+
+    def done(search) -> None:
+        stats["completed"] += 1
+        if getattr(search, found):
+            stats["found"] += 1
+        if net.obs.on and search.first_latency_us is not None:
+            note_row_latency(stats, search.first_latency_us)
+            net.obs.metrics.histogram(
+                "world.search.latency_us", group=group
+            ).observe(search.first_latency_us)
+
+    return done
+
+
+def _on_host(slot: str, add_app: Callable) -> Callable:
+    """An app kind's table entry: build the app on its owner's node and
+    file it under ``(owner, slot)``."""
+
+    def apply(world: World, app, host: Optional[str] = None) -> None:
+        host = app.owner(host)
+        world._apps[(host, slot)] = add_app(world, app, world.hosts[host])
+
+    return apply
+
+
+#: The kind table: spec class -> its handler.  ``World.apply`` dispatches
+#: every element, nested app and workload step through it.
+SPEC_TABLE: dict[type, Callable] = {
+    SegmentSpec: World._add_segment,
+    HostSpec: World._add_host,
+    BridgeSpec: lambda w, e: w.net.bridge(w.hosts[e.host], *e.segments),
+    FleetSpec: World._add_fleet,
+    Fill: World._fill,
+    Ping: World._start_ping,
+    SlpClient: _on_host("ua", World._add_slp_client),
+    SlpService: _on_host("sa", World._add_slp_service),
+    ClockDevice: _on_host("device", World._add_clock_device),
+    TypedDevice: _on_host("device", World._add_typed_device),
+    ControlPoint: _on_host("cp", World._add_control_point),
+    IndissApp: _on_host("indiss", World._add_indiss),
+    QueryFrontendApp: _on_host("frontend", World._add_query_frontend),
+    JiniRegistrar: _on_host("jini", World._add_jini_registrar),
+    JiniListener: _on_host("jini", World._add_jini_listener),
+    GenaSubscriber: _on_host("gena", World._add_gena_subscriber),
+    GenaFeed: World._add_gena_feed,
+    Run: lambda w, step: w.net.run(duration_us=step.duration_us),
+    Probe: World._issue_probe,
+    Chatter: World._start_chatter,
+    CpChatter: World._start_cp_chatter,
+    QueryLoad: World._start_query_load,
+    Churn: World._run_churn,
+    Fault: World._fault,
+    Heal: World._heal,
+    Crash: World._crash,
+    Restart: World._restart,
+    SetConfig: World._set_config,
+    Snapshot: World._snapshot,
+    Delta: World._delta,
+    Collect: World._collect,
+    Emit: lambda w, step: w.extras.__setitem__(step.key, step.value),
+    Check: World._check,
+    TypeSweepReport: World._type_sweep_report,
+}
 
 
 def _arrival_offsets(step: QueryLoad, rng: random.Random) -> list[int]:
@@ -1155,36 +1139,6 @@ def _build_query(serving_wire, step: QueryLoad, i: int, state: dict) -> dict:
     return message
 
 
-def _make_typed_device(node, type_name: str, costs, seed: int, advertise: bool,
-                       notify_period_us=None, udn_suffix: str = ""):
-    """A one-service UPnP device of a synthetic ``type_name`` type."""
-    from ..sdp.upnp import DeviceDescription, ServiceDescription, UpnpDevice
-
-    description = DeviceDescription(
-        device_type=f"urn:schemas-upnp-org:device:{type_name}:1",
-        friendly_name=f"Sensor {type_name}",
-        udn=f"uuid:{type_name}-device{udn_suffix}",
-        manufacturer="INDISS bench",
-        model_name=type_name,
-        services=[
-            ServiceDescription(
-                service_type=f"urn:schemas-upnp-org:service:{type_name}:1",
-                service_id=f"urn:upnp-org:serviceId:{type_name}:1",
-                scpd_url=f"/service/{type_name}/scpd.xml",
-                control_url=f"/service/{type_name}/control",
-                event_sub_url=f"/service/{type_name}/event",
-            )
-        ],
-    )
-    kwargs = {}
-    if notify_period_us is not None:
-        kwargs["notify_period_us"] = notify_period_us
-    return UpnpDevice(
-        node, description, timings=costs.upnp, seed=seed, advertise=advertise,
-        **kwargs,
-    )
-
-
 def run_world(
     spec: WorldSpec,
     seed: int = 0,
@@ -1203,4 +1157,4 @@ def run_world(
     return world.outcome()
 
 
-__all__ = ["World", "BuildError", "ProbeHandle", "run_world", "SpecError"]
+__all__ = ["World", "BuildError", "ProbeHandle", "run_world", "SpecError", "SPEC_TABLE"]

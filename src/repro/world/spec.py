@@ -12,9 +12,15 @@ Ordering is semantic: elements build in list order, and workload steps run
 in list order.  The simulator draws shared randomness (latency models) in
 event order, so two specs that differ only in element order are two
 different (both valid) worlds.  Standing-load steps (``Chatter``,
-``CpChatter``, ``Fill``) may appear in ``elements`` too, for worlds whose
-load must start mid-construction (the UPnP ``media_city`` family interleaves
-device fleets and control-point chatter per district).
+``CpChatter``, ``QueryLoad``, ``Fill``) may appear in ``elements`` too, for
+worlds whose load must start mid-construction (the UPnP ``media_city``
+family interleaves device fleets and control-point chatter per district).
+
+Each spec kind's base class says where it may appear (``_Element``,
+``_Step``, or both; an ``_App`` may also nest in ``HostSpec.apps``), and
+its ``check`` validates one item against everything declared before it.
+``build.py``'s ``SPEC_TABLE`` holds each kind's apply handler, so a new
+kind is one class here plus one table row there.
 
 Every spec class is a frozen dataclass: hashable, comparable, printable —
 ``python -m repro.world describe <scenario>`` renders them directly.
@@ -25,9 +31,102 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
+from ..core.indiss import IndissConfig
+
+DEFAULT_SEGMENT = "lan0"
+
 
 class SpecError(ValueError):
     """A world spec failed validation."""
+
+
+class _Context:
+    """What the items walked so far declare, for later items to name;
+    ``problem`` records a finding against the item at ``where``."""
+
+    def __init__(self) -> None:
+        self.segments: dict[str, SegmentSpec] = {}
+        self.hosts: dict[str, HostSpec] = {}
+        self.fleets: dict[str, FleetSpec] = {}
+        self.host_apps: dict[str, list] = {}  # in build order
+        self.probes: set[str] = set()
+        self.snapshots: dict[str, tuple[str, ...]] = {}  # name -> its metrics
+        #: (where, QueryLoad): frontend apps are checked once the walk ends.
+        self.query_loads: list[tuple[str, QueryLoad]] = []
+        self.problems: list[str] = []
+        self.where = "network"
+
+    def problem(self, text: str) -> None:
+        self.problems.append(f"{self.where}: {text}")
+
+    def require(self, ok: bool, text: str) -> None:
+        if not ok:
+            self.problem(text)
+
+    def has_segment(self, name: str) -> bool:
+        return name == DEFAULT_SEGMENT or name in self.segments
+
+    def has_app(self, host: str, kinds) -> bool:
+        return any(isinstance(app, kinds) for app in self.host_apps.get(host, ()))
+
+    def host(self, name: str, label: Optional[str] = None) -> bool:
+        """Whether ``name`` is a declared host (reporting it if not)."""
+        self.require(name in self.hosts, f"unknown {label or 'host'} {name!r}")
+        return name in self.hosts
+
+    def indiss_host(self, name: Optional[str], label: str) -> None:
+        """``name`` must be a declared host already carrying an IndissApp."""
+        if name is None:
+            self.problem(f"{label} names no host")
+        elif self.host(name) and not self.has_app(name, IndissApp):
+            self.problem(f"{label}: host {name!r} carries no IndissApp")
+
+    def subnet(self, subnet: Optional[str]) -> None:
+        if subnet is None:
+            return
+        parts = subnet.split(".")
+        if len(parts) not in (2, 3) or not all(
+            p.isdigit() and int(p) <= 255 for p in parts
+        ):
+            self.problem(f"bad subnet prefix {subnet!r}")
+
+    def metric(self, metric: str) -> None:
+        """The closed Snapshot/Delta vocabulary (``World.metric``)."""
+        name, _, host = metric.partition(":")
+        if name == "cache_answers":
+            self.indiss_host(host or None, f"metric {metric!r}")
+        elif name != "translations":
+            self.problem(f"unknown metric {metric!r}")
+
+
+class _Kind:
+    """Base of every spec kind."""
+
+    def check(self, ctx: _Context) -> None:
+        """Validate this item against ``ctx``; the default has no rules."""
+
+
+class _Element(_Kind):
+    """A kind legal in ``WorldSpec.elements``."""
+
+
+class _Step(_Kind):
+    """A kind legal in ``WorldSpec.workload``."""
+
+
+class _App(_Element):
+    """An application: a standalone element naming its ``host``, or nested
+    in a :class:`HostSpec`'s ``apps`` (host implied)."""
+
+    def owner(self, nested: Optional[str] = None) -> Optional[str]:
+        return nested or self.host
+
+    def check(self, ctx: _Context, nested: Optional[str] = None) -> None:
+        owner = self.owner(nested)
+        if owner is None:
+            ctx.problem(f"{type(self).__name__} names no host")
+        elif ctx.host(owner):
+            ctx.host_apps.setdefault(owner, []).append(self)
 
 
 # -- placement resolvers ----------------------------------------------------
@@ -51,7 +150,7 @@ class RingOwnerLeaf:
 
 
 @dataclass(frozen=True)
-class SegmentSpec:
+class SegmentSpec(_Element):
     """One LAN segment, optionally linked to an earlier segment.
 
     ``seed_offset`` selects the segment's latency model:
@@ -67,9 +166,16 @@ class SegmentSpec:
     link_to: Optional[str] = None
     link_latency_us: Optional[int] = None
 
+    def check(self, ctx: _Context) -> None:
+        ctx.require(not ctx.has_segment(self.name), f"duplicate segment {self.name!r}")
+        if self.link_to is not None and not ctx.has_segment(self.link_to):
+            ctx.problem(f"link_to unknown segment {self.link_to!r}")
+        ctx.subnet(self.subnet)
+        ctx.segments[self.name] = self
+
 
 @dataclass(frozen=True)
-class HostSpec:
+class HostSpec(_Element):
     """One host, with optional applications built right after the node.
 
     ``segment`` may be a segment name or a :class:`RingOwnerLeaf`
@@ -82,17 +188,40 @@ class HostSpec:
     segment: object = None  # str | RingOwnerLeaf | None
     apps: tuple = ()
 
+    def check(self, ctx: _Context) -> None:
+        ctx.require(self.name not in ctx.hosts, f"duplicate host {self.name!r}")
+        ctx.hosts[self.name] = self
+        segment = self.segment
+        if isinstance(segment, RingOwnerLeaf):
+            if segment.fleet not in ctx.fleets:
+                ctx.problem(f"RingOwnerLeaf names unknown fleet {segment.fleet!r}")
+        elif isinstance(segment, str):
+            ctx.require(ctx.has_segment(segment), f"unknown segment {segment!r}")
+        elif segment is not None:
+            ctx.problem(f"bad segment reference {segment!r}")
+        for app in self.apps:
+            if isinstance(app, _App):
+                app.check(ctx, self.name)
+            else:
+                ctx.problem(f"{type(app).__name__} is not an app spec")
+
 
 @dataclass(frozen=True)
-class BridgeSpec:
+class BridgeSpec(_Element):
     """Multi-home ``host`` onto additional segments (gateway placement)."""
 
     host: str
     segments: tuple[str, ...] = ()
 
+    def check(self, ctx: _Context) -> None:
+        ctx.host(self.host, "bridge host")
+        for segment in self.segments:
+            if not ctx.has_segment(segment):
+                ctx.problem(f"bridge onto unknown segment {segment!r}")
+
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(_Element):
     """Federate gateways sharing ``backbone`` into one
     :class:`~repro.federation.GatewayFleet`; ``members`` join in order."""
 
@@ -119,17 +248,34 @@ class FleetSpec:
     #: dead (ring repair fires).  Defaults to ``suspect_after``.
     dead_after: Optional[int] = None
 
+    def check(self, ctx: _Context) -> None:
+        ctx.require(self.name not in ctx.fleets, f"duplicate fleet {self.name!r}")
+        if not ctx.has_segment(self.backbone):
+            ctx.problem(f"fleet backbone {self.backbone!r} unknown")
+        for member in self.members:
+            if ctx.host(member, "fleet member") and not ctx.has_app(member, IndissApp):
+                ctx.problem(f"fleet member {member!r} has no INDISS app")
+        for knob in ("suspect_after", "dead_after"):
+            value = getattr(self, knob)
+            ctx.require(value is None or value >= 1, f"{knob} must be >= 1")
+        if self.dead_after is not None and self.suspect_after is None:
+            ctx.problem("dead_after needs suspect_after")
+        ctx.fleets[self.name] = self
+
 
 @dataclass(frozen=True)
-class Fill:
+class Fill(_Element, _Step):
     """Pad the world with idle background hosts up to ``total_nodes``,
     round-robin across segments (skipping exhausted subnets)."""
 
     total_nodes: int
 
+    def check(self, ctx: _Context) -> None:
+        ctx.require(self.total_nodes >= 0, "negative fill")
+
 
 @dataclass(frozen=True)
-class Ping:
+class Ping(_Element):
     """A standing unicast stream: ``src_host`` periodically sends a fixed
     payload to a UDP sink bound on ``dst_host``.
 
@@ -150,6 +296,12 @@ class Ping:
     start_delay_us: int = 100_000
     group: str = "ping"
 
+    def check(self, ctx: _Context) -> None:
+        ctx.host(self.src_host, "ping src host")
+        ctx.host(self.dst_host, "ping dst host")
+        ctx.require(self.period_us > 0 and self.payload_bytes >= 0, "bad ping sizing")
+        ctx.require(0 <= self.port <= 65535, f"ping port {self.port} outside 0-65535")
+
 
 # -- applications -----------------------------------------------------------
 #
@@ -158,7 +310,7 @@ class Ping:
 
 
 @dataclass(frozen=True)
-class SlpClient:
+class SlpClient(_App):
     """A native SLP user agent."""
 
     host: Optional[str] = None
@@ -177,7 +329,7 @@ class SlpServiceReg:
 
 
 @dataclass(frozen=True)
-class SlpService:
+class SlpService(_App):
     """A native SLP service agent with its registrations."""
 
     host: Optional[str] = None
@@ -185,7 +337,7 @@ class SlpService:
 
 
 @dataclass(frozen=True)
-class ClockDevice:
+class ClockDevice(_App):
     """The paper's UPnP clock device (``make_clock_device``)."""
 
     host: Optional[str] = None
@@ -195,7 +347,7 @@ class ClockDevice:
 
 
 @dataclass(frozen=True)
-class TypedDevice:
+class TypedDevice(_App):
     """A one-service synthetic UPnP device of ``type_name``."""
 
     type_name: str
@@ -207,23 +359,37 @@ class TypedDevice:
 
 
 @dataclass(frozen=True)
-class ControlPoint:
+class ControlPoint(_App):
     """A native UPnP control point."""
 
     host: Optional[str] = None
 
 
+#: profile name -> (units, dispatch, slp_wait_us, upnp_wait_us): the
+#: calibrated INDISS recipes.  A profile with a UPnP unit also gets the
+#: calibrated responder jitter.  ``IndissApp.check`` and ``World`` read it.
+INDISS_PROFILES = {
+    "paper": (("slp", "upnp"), "fanout", 15_000, 300_000),
+    "chain": (("slp", "upnp"), "gateway-forward", 350_000, 300_000),
+    "fleet": (("slp", "upnp"), "shard-ring", 350_000, 300_000),
+    "slp-jini": (("slp", "jini"), "fanout", 15_000, 150_000),
+    "media": (("slp", "upnp", "jini"), "shard-ring", 350_000, 300_000),
+}
+
+
 @dataclass(frozen=True)
-class IndissApp:
+class IndissApp(_App):
     """An INDISS instance.  ``profile`` selects one of the repo's
-    calibrated configuration recipes:
+    calibrated configuration recipes (:data:`INDISS_PROFILES`):
 
     * ``"paper"`` — the §4.3 placement configs (slp+upnp units, fanout
-      dispatch, paper waits; honours ``deployment``/``answer_from_cache``);
+      dispatch, paper waits);
     * ``"chain"`` — a bridged gateway-forward gateway (multi-hop waits);
     * ``"fleet"`` — a federated fleet member (shard-ring dispatch);
     * ``"slp-jini"`` — the SLP↔Jini gateway ablation config;
     * ``"media"`` — the three-unit (slp+upnp+jini) shard-ring gateway.
+
+    ``deployment`` and ``answer_from_cache`` pass through to the config.
     """
 
     host: Optional[str] = None
@@ -232,7 +398,10 @@ class IndissApp:
     answer_from_cache: bool = False
     seed_offset: int = 0
 
-    PROFILES = ("paper", "chain", "fleet", "slp-jini", "media")
+    def check(self, ctx: _Context, nested: Optional[str] = None) -> None:
+        super().check(ctx, nested)
+        if self.profile not in INDISS_PROFILES:
+            ctx.problem(f"unknown INDISS profile {self.profile!r}")
 
 
 @dataclass(frozen=True)
@@ -247,7 +416,7 @@ class JiniItem:
 
 
 @dataclass(frozen=True)
-class JiniRegistrar:
+class JiniRegistrar(_App):
     """A Jini lookup service, optionally announcing periodically."""
 
     host: Optional[str] = None
@@ -257,14 +426,14 @@ class JiniRegistrar:
 
 
 @dataclass(frozen=True)
-class JiniListener:
+class JiniListener(_App):
     """A passive Jini multicast-discovery listener."""
 
     host: Optional[str] = None
 
 
 @dataclass(frozen=True)
-class GenaSubscriber:
+class GenaSubscriber(_App):
     """A GENA event subscriber that SUBSCRIBEs to ``publisher_host``'s
     ``service_index``-th service shortly after boot."""
 
@@ -274,9 +443,13 @@ class GenaSubscriber:
     service_index: int = 0
     subscribe_delay_us: int = 50_000
 
+    def check(self, ctx: _Context, nested: Optional[str] = None) -> None:
+        super().check(ctx, nested)
+        ctx.host(self.publisher_host, "publisher host")
+
 
 @dataclass(frozen=True)
-class GenaFeed:
+class GenaFeed(_App):
     """Periodic state-variable pushes from ``publisher_host``'s device.
 
     The feed runs *on* the publisher, so unlike other app specs it has no
@@ -288,9 +461,14 @@ class GenaFeed:
     properties: tuple[tuple[str, str], ...]
     initial_delay_us: int = 0
 
+    def check(self, ctx: _Context, nested: Optional[str] = None) -> None:
+        if nested is not None:
+            super().check(ctx, nested)
+        ctx.host(self.publisher_host, "publisher host")
+
 
 @dataclass(frozen=True)
-class QueryFrontendApp:
+class QueryFrontendApp(_App):
     """A discovery query endpoint (:class:`repro.serving.QueryFrontend`)
     riding on the same host's INDISS instance.
 
@@ -309,35 +487,25 @@ class QueryFrontendApp:
     fallback: bool = True
     fallback_window_us: int = 500_000
 
-
-#: App spec classes, for validation and HostSpec.apps checking.
-APP_SPECS = (
-    SlpClient,
-    SlpService,
-    ClockDevice,
-    TypedDevice,
-    ControlPoint,
-    IndissApp,
-    JiniRegistrar,
-    JiniListener,
-    GenaSubscriber,
-    GenaFeed,
-    QueryFrontendApp,
-)
+    def check(self, ctx: _Context, nested: Optional[str] = None) -> None:
+        owner = self.owner(nested)
+        if owner in ctx.hosts and not ctx.has_app(owner, IndissApp):
+            ctx.problem(f"QueryFrontendApp needs an IndissApp on {owner!r} first")
+        super().check(ctx, nested)
 
 
 # -- workload steps ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Run:
+class Run(_Step):
     """Advance virtual time by ``duration_us``."""
 
     duration_us: int
 
 
 @dataclass(frozen=True)
-class Probe:
+class Probe(_Step):
     """Issue one named discovery and (optionally) run a horizon for it.
 
     ``host`` names an existing host carrying an :class:`SlpClient` /
@@ -361,9 +529,35 @@ class Probe:
     headline: bool = False
     extras_prefix: Optional[str] = None
 
+    #: probe kind -> the app an existing ``host`` must carry to issue it.
+    AGENTS = {"slp": SlpClient, "upnp": ControlPoint}
+
+    def check(self, ctx: _Context) -> None:
+        ctx.require(self.name not in ctx.probes, f"duplicate probe name {self.name!r}")
+        ctx.probes.add(self.name)
+        agent = self.AGENTS.get(self.kind)
+        ctx.require(agent is not None, f"unknown probe kind {self.kind!r}")
+        if self.host is None and self.segment is None:
+            ctx.problem("probe needs a host or a segment")
+        if self.host is not None and ctx.host(self.host, "probe host") and agent:
+            if not ctx.has_app(self.host, agent):
+                ctx.problem(f"probe host {self.host!r} has no {agent.__name__}")
+        if self.segment is not None and not ctx.has_segment(self.segment):
+            ctx.problem(f"probe segment {self.segment!r} unknown")
+
+
+class _Load(_Element, _Step):
+    """Standing background clients spread across ``leaves``."""
+
+    def check(self, ctx: _Context) -> None:
+        for leaf in self.leaves:
+            ctx.require(ctx.has_segment(leaf), f"chatter leaf {leaf!r} unknown")
+        ctx.require(self.per_leaf >= 0 and self.period_us > 0, "bad chatter sizing")
+        ctx.require(bool(self.types), "chatter has no target types")
+
 
 @dataclass(frozen=True)
-class Chatter:
+class Chatter(_Load):
     """Background native SLP clients spread across ``leaves``.
 
     Each client periodically re-searches one of ``types`` (round-robin,
@@ -380,7 +574,7 @@ class Chatter:
 
 
 @dataclass(frozen=True)
-class CpChatter:
+class CpChatter(_Load):
     """Background UPnP control points re-issuing M-SEARCHes.
 
     The kick stagger divides one period across a *global* cohort:
@@ -400,7 +594,7 @@ class CpChatter:
 
 
 @dataclass(frozen=True)
-class QueryLoad:
+class QueryLoad(_Element, _Step):
     """An open-loop query workload against :class:`QueryFrontendApp`s.
 
     ``clients_per_segment`` fresh client nodes are created on each of
@@ -451,9 +645,28 @@ class QueryLoad:
 
     PROCESSES = ("poisson", "bursty", "diurnal")
 
+    def check(self, ctx: _Context) -> None:
+        ctx.require(bool(self.frontends), "QueryLoad names no frontends")
+        for host in self.frontends:
+            if host not in ctx.hosts:
+                ctx.problem(f"QueryLoad frontend host {host!r} unknown")
+        for segment in self.segments:
+            if not ctx.has_segment(segment):
+                ctx.problem(f"QueryLoad segment {segment!r} unknown")
+        ctx.require(bool(self.types), "QueryLoad has no target types")
+        sizes = self.clients_per_segment, self.queries_per_client, self.mean_interval_us
+        ctx.require(min(sizes) > 0, "bad QueryLoad sizing")
+        if self.process not in self.PROCESSES:
+            ctx.problem(f"unknown arrival process {self.process!r}")
+        if self.process == "bursty" and self.burst <= 0:
+            ctx.problem("bursty process needs burst >= 1")
+        if self.process == "diurnal" and self.diurnal_period_us <= 0:
+            ctx.problem("diurnal process needs a positive period")
+        ctx.query_loads.append((ctx.where, self))
+
 
 @dataclass(frozen=True)
-class Churn:
+class Churn(_Step):
     """Sustained fleet membership churn: detach a member's host from the
     network (dropping its route plans and multicast index entries), let the
     fleet run degraded, then re-attach and re-join.
@@ -470,9 +683,36 @@ class Churn:
     recover_us: int
     group: str = "churn"
 
+    def check(self, ctx: _Context) -> None:
+        ctx.require(self.fleet in ctx.fleets, f"unknown fleet {self.fleet!r}")
+
+
+class _Adversity(_Step):
+    """:class:`Fault`/:class:`Heal`: ``KINDS`` maps each kind to its operand
+    fields, each with the :class:`~repro.net.Network` primitive applying it.
+    A kind with one operand needs it; a kind with two takes exactly one."""
+
+    def check(self, ctx: _Context) -> None:
+        label = type(self).__name__.lower()
+        operands = self.KINDS.get(self.kind)
+        if operands is None:
+            ctx.problem(f"unknown {label} kind {self.kind!r}")
+            return
+        if operands and sum(getattr(self, op) is not None for op in operands) != 1:
+            one_of = "exactly one of " if len(operands) > 1 else ""
+            ctx.problem(f"{label} {self.kind!r} needs {one_of}{'/'.join(operands)}")
+        if self.link is not None:
+            ctx.require(len(self.link) == 2, "link must be a (a, b) pair")
+            for end in self.link:
+                ctx.require(ctx.has_segment(end), f"link end {end!r} unknown")
+        if self.segment is not None and not ctx.has_segment(self.segment):
+            ctx.problem(f"unknown segment {self.segment!r}")
+        if self.host is not None:
+            ctx.host(self.host)
+
 
 @dataclass(frozen=True)
-class Fault:
+class Fault(_Adversity):
     """Inject one adversity condition, effective immediately.
 
     Kinds (``World`` applies each through one :class:`~repro.net.Network`
@@ -502,11 +742,26 @@ class Fault:
     model: str = "bernoulli"
     seed_offset: int = 0
 
-    KINDS = ("cut", "isolate", "degrade", "detach")
+    KINDS = {
+        "cut": {"link": "cut_link"},
+        "isolate": {"segment": "isolate_segment"},
+        "degrade": {"link": "set_link_loss", "segment": "set_segment_loss"},
+        "detach": {"host": "detach_node"},
+    }
+
+    def check(self, ctx: _Context) -> None:
+        super().check(ctx)
+        if self.kind == "degrade":
+            if not isinstance(self.rate, (int, float)):
+                ctx.problem(f"degrade rate {self.rate!r} is not a number")
+            elif not (0.0 <= self.rate < 1.0):
+                ctx.problem(f"degrade rate {self.rate!r} not in [0, 1)")
+            if self.model not in ("bernoulli", "gilbert"):
+                ctx.problem(f"unknown loss model {self.model!r}")
 
 
 @dataclass(frozen=True)
-class Heal:
+class Heal(_Adversity):
     """Undo prior :class:`Fault` conditions, effective immediately.
 
     Kinds: ``"link"`` — bring ``link=(a, b)`` back up; ``"segment"`` —
@@ -522,11 +777,17 @@ class Heal:
     segment: Optional[str] = None
     host: Optional[str] = None
 
-    KINDS = ("link", "segment", "attach", "clear", "all")
+    KINDS = {
+        "link": {"link": "heal_link"},
+        "segment": {"segment": "heal_segment"},
+        "attach": {"host": "reattach_node"},
+        "clear": {"link": "set_link_loss", "segment": "set_segment_loss"},
+        "all": {},
+    }
 
 
 @dataclass(frozen=True)
-class Crash:
+class Crash(_Step):
     """Crash-stop ``host``, effective immediately.
 
     Harsher than ``Fault(detach)`` in every observable way: frames in
@@ -544,9 +805,12 @@ class Crash:
 
     host: str
 
+    def check(self, ctx: _Context) -> None:
+        ctx.host(self.host)
+
 
 @dataclass(frozen=True)
-class Restart:
+class Restart(_Step):
     """Bring a crashed ``host`` back, effective immediately.
 
     The transport reattaches to its crash-time home segments, and the
@@ -562,36 +826,64 @@ class Restart:
     host: str
     bootstrap: bool = False
 
+    def check(self, ctx: _Context) -> None:
+        ctx.host(self.host)
+
 
 @dataclass(frozen=True)
-class SetConfig:
-    """Flip one config field on a fleet's members (or named hosts)."""
+class SetConfig(_Step):
+    """Flip one :class:`~repro.core.IndissConfig` field on a fleet's
+    members (or named hosts)."""
 
     attr: str
     value: object
     fleet: Optional[str] = None
     hosts: tuple[str, ...] = ()
 
+    def check(self, ctx: _Context) -> None:
+        if self.attr not in {f.name for f in fields(IndissConfig)}:
+            ctx.problem(f"SetConfig attr {self.attr!r} is not an IndissConfig field")
+        if self.fleet is not None and self.fleet not in ctx.fleets:
+            ctx.problem(f"unknown fleet {self.fleet!r}")
+        for host in self.hosts:
+            ctx.indiss_host(host, "SetConfig")
+
 
 @dataclass(frozen=True)
-class Snapshot:
-    """Capture named metrics now, for later :class:`Delta` steps."""
+class Snapshot(_Step):
+    """Capture named metrics now, for later :class:`Delta` steps.
+
+    Metrics: ``"translations"`` (every INDISS instance's translation
+    count) and ``"cache_answers:<host>"`` (one instance's cache answers).
+    """
 
     name: str
     metrics: tuple[str, ...]
 
+    def check(self, ctx: _Context) -> None:
+        for metric in self.metrics:
+            ctx.metric(metric)
+        ctx.snapshots[self.name] = self.metrics
+
 
 @dataclass(frozen=True)
-class Delta:
+class Delta(_Step):
     """Record ``extras[key] = metric(now) - metric(at snapshot)``."""
 
     key: str
     metric: str
     since: str
 
+    def check(self, ctx: _Context) -> None:
+        ctx.metric(self.metric)
+        if self.since not in ctx.snapshots:
+            ctx.problem(f"Delta since unknown snapshot {self.since!r}")
+        elif self.metric not in ctx.snapshots[self.since]:
+            ctx.problem(f"snapshot {self.since!r} did not capture {self.metric!r}")
+
 
 @dataclass(frozen=True)
-class Collect:
+class Collect(_Step):
     """Run one registered collector now and merge its rows into extras.
 
     ``key=None`` merges the collector's dict at top level; a string key
@@ -605,7 +897,7 @@ class Collect:
 
 
 @dataclass(frozen=True)
-class Emit:
+class Emit(_Step):
     """Record a constant into extras (world parameters worth reporting)."""
 
     key: str
@@ -613,7 +905,7 @@ class Emit:
 
 
 @dataclass(frozen=True)
-class Check:
+class Check(_Step):
     """An in-workload invariant (build fails loudly when it does not hold).
 
     Kinds: ``"cache_nonempty"`` — the INDISS instance on ``host`` has at
@@ -623,9 +915,13 @@ class Check:
     kind: str
     host: Optional[str] = None
 
+    def check(self, ctx: _Context) -> None:
+        ctx.require(self.kind == "cache_nonempty", f"unknown check kind {self.kind!r}")
+        ctx.indiss_host(self.host, "Check")
+
 
 @dataclass(frozen=True)
-class TypeSweepReport:
+class TypeSweepReport(_Step):
     """Build the per-type ownership/answer report of a sharded fleet:
     for every ``(type_name, warm, probe_name)`` entry record the ring
     owner, recorded device placement, and the probe's results/latency."""
@@ -634,34 +930,10 @@ class TypeSweepReport:
     entries: tuple[tuple[str, bool, str], ...]
     key: str = "per_type"
 
-
-WORKLOAD_STEPS = (
-    Run,
-    Probe,
-    Chatter,
-    CpChatter,
-    QueryLoad,
-    Churn,
-    Fault,
-    Heal,
-    Crash,
-    Restart,
-    SetConfig,
-    Snapshot,
-    Delta,
-    Collect,
-    Emit,
-    Check,
-    TypeSweepReport,
-    Fill,
-)
-
-#: Everything legal in WorldSpec.elements.
-ELEMENT_SPECS = (SegmentSpec, HostSpec, BridgeSpec, FleetSpec, Fill, Ping) + APP_SPECS + (
-    Chatter,
-    CpChatter,
-    QueryLoad,
-)
+    def check(self, ctx: _Context) -> None:
+        ctx.require(self.fleet in ctx.fleets, f"unknown fleet {self.fleet!r}")
+        for _, _, probe in self.entries:
+            ctx.require(probe in ctx.probes, f"unknown probe {probe!r}")
 
 
 # -- the world spec ---------------------------------------------------------
@@ -698,266 +970,29 @@ class WorldSpec:
             raise SpecError(f"spec {self.name!r}: " + "; ".join(problems))
 
     def problems(self) -> list[str]:
-        """All validation problems (empty when the spec is well-formed)."""
-        problems: list[str] = []
-        segments: dict[str, SegmentSpec] = {}
-        hosts: dict[str, HostSpec] = {}
-        fleets: dict[str, FleetSpec] = {}
-        host_apps: dict[str, list] = {}
-        #: (where, QueryLoad) pairs, validated after host_apps is complete.
-        query_loads: list[tuple[str, QueryLoad]] = []
-        default_name = "lan0"
-
-        def check_subnet(subnet: Optional[str], where: str) -> None:
-            if subnet is None:
-                return
-            parts = subnet.split(".")
-            if len(parts) not in (2, 3) or not all(
-                p.isdigit() and int(p) <= 255 for p in parts
-            ):
-                problems.append(f"{where}: bad subnet prefix {subnet!r}")
-
-        check_subnet(self.subnet, "network")
-
-        def note_app(app, host_name: Optional[str], where: str) -> None:
-            if not isinstance(app, APP_SPECS):
-                problems.append(f"{where}: {type(app).__name__} is not an app spec")
-                return
-            owner = getattr(app, "host", None) or host_name
-            feed_like = isinstance(app, (GenaSubscriber, GenaFeed))
-            if owner is None and not isinstance(app, GenaFeed):
-                problems.append(f"{where}: {type(app).__name__} names no host")
-            elif owner is not None and owner not in hosts and not feed_like:
-                problems.append(f"{where}: unknown host {owner!r}")
-            if feed_like and app.publisher_host not in hosts:
-                problems.append(
-                    f"{where}: unknown publisher host {app.publisher_host!r}"
-                )
-            if isinstance(app, GenaSubscriber) and owner is not None and owner not in hosts:
-                problems.append(f"{where}: unknown host {owner!r}")
-            if isinstance(app, IndissApp) and app.profile not in IndissApp.PROFILES:
-                problems.append(f"{where}: unknown INDISS profile {app.profile!r}")
-            if owner is not None:
-                host_apps.setdefault(owner, []).append(app)
-
-        for i, element in enumerate(self.elements):
-            where = f"elements[{i}]"
-            if isinstance(element, SegmentSpec):
-                if element.name in segments or element.name == default_name:
-                    problems.append(f"{where}: duplicate segment {element.name!r}")
-                if element.link_to is not None and (
-                    element.link_to != default_name and element.link_to not in segments
-                ):
-                    problems.append(
-                        f"{where}: link_to unknown segment {element.link_to!r}"
-                    )
-                check_subnet(element.subnet, where)
-                segments[element.name] = element
-            elif isinstance(element, HostSpec):
-                if element.name in hosts:
-                    problems.append(f"{where}: duplicate host {element.name!r}")
-                hosts[element.name] = element
-                self._check_segment_ref(element.segment, segments, fleets, where, problems)
-                for app in element.apps:
-                    note_app(app, element.name, where)
-            elif isinstance(element, BridgeSpec):
-                if element.host not in hosts:
-                    problems.append(f"{where}: bridge names unknown host {element.host!r}")
-                for seg in element.segments:
-                    if seg != default_name and seg not in segments:
-                        problems.append(f"{where}: bridge onto unknown segment {seg!r}")
-            elif isinstance(element, FleetSpec):
-                if element.name in fleets:
-                    problems.append(f"{where}: duplicate fleet {element.name!r}")
-                if element.backbone != default_name and element.backbone not in segments:
-                    problems.append(
-                        f"{where}: fleet backbone {element.backbone!r} unknown"
-                    )
-                for member in element.members:
-                    apps = host_apps.get(member, ())
-                    if member not in hosts:
-                        problems.append(f"{where}: fleet member {member!r} unknown")
-                    elif not any(isinstance(a, IndissApp) for a in apps):
-                        problems.append(
-                            f"{where}: fleet member {member!r} has no INDISS app"
-                        )
-                for knob in ("suspect_after", "dead_after"):
-                    value = getattr(element, knob)
-                    if value is not None and value < 1:
-                        problems.append(f"{where}: {knob} must be >= 1")
-                if element.dead_after is not None and element.suspect_after is None:
-                    problems.append(f"{where}: dead_after needs suspect_after")
-                fleets[element.name] = element
-            elif isinstance(element, Fill):
-                if element.total_nodes < 0:
-                    problems.append(f"{where}: negative fill")
-            elif isinstance(element, Ping):
-                for role, host in (("src", element.src_host), ("dst", element.dst_host)):
-                    if host not in hosts:
-                        problems.append(f"{where}: ping {role} host {host!r} unknown")
-                if element.period_us <= 0 or element.payload_bytes < 0:
-                    problems.append(f"{where}: bad ping sizing")
-            elif isinstance(element, (Chatter, CpChatter)):
-                self._check_load_step(element, segments, where, problems)
-            elif isinstance(element, QueryLoad):
-                query_loads.append((where, element))
-            elif isinstance(element, APP_SPECS):
-                note_app(element, None, where)
-            else:
-                problems.append(
-                    f"{where}: {type(element).__name__} is not a topology element"
-                )
-
-        for j, step in enumerate(self.workload):
-            where = f"workload[{j}]"
-            if not isinstance(step, WORKLOAD_STEPS):
-                problems.append(f"{where}: {type(step).__name__} is not a workload step")
-                continue
-            if isinstance(step, Probe):
-                if step.kind not in ("slp", "upnp"):
-                    problems.append(f"{where}: unknown probe kind {step.kind!r}")
-                if step.host is None and step.segment is None:
-                    problems.append(f"{where}: probe needs a host or a segment")
-                if step.host is not None and step.host not in hosts:
-                    problems.append(f"{where}: probe host {step.host!r} unknown")
-                if step.segment is not None and (
-                    step.segment != default_name and step.segment not in segments
-                ):
-                    problems.append(f"{where}: probe segment {step.segment!r} unknown")
-            elif isinstance(step, (Chatter, CpChatter)):
-                self._check_load_step(step, segments, where, problems)
-            elif isinstance(step, QueryLoad):
-                query_loads.append((where, step))
-            elif isinstance(step, (Churn, TypeSweepReport)):
-                if step.fleet not in fleets:
-                    problems.append(f"{where}: unknown fleet {step.fleet!r}")
-            elif isinstance(step, SetConfig):
-                if step.fleet is not None and step.fleet not in fleets:
-                    problems.append(f"{where}: unknown fleet {step.fleet!r}")
-                for host in step.hosts:
-                    if host not in hosts:
-                        problems.append(f"{where}: unknown host {host!r}")
-            elif isinstance(step, (Fault, Heal)):
-                self._check_fault_step(step, segments, hosts, where, problems)
-            elif isinstance(step, (Crash, Restart)):
-                if step.host not in hosts:
-                    problems.append(f"{where}: unknown host {step.host!r}")
-            elif isinstance(step, Check) and step.host is not None:
-                if step.host not in hosts:
-                    problems.append(f"{where}: unknown host {step.host!r}")
-
-        for host_name, apps in host_apps.items():
-            if any(isinstance(a, QueryFrontendApp) for a in apps) and not any(
-                isinstance(a, IndissApp) for a in apps
-            ):
-                problems.append(
-                    f"host {host_name!r}: QueryFrontendApp needs an IndissApp "
-                    f"on the same host"
-                )
-        for where, step in query_loads:
-            self._check_query_load(step, segments, hosts, host_apps, where, problems)
-
-        problems.extend(self._subnet_budget_problems(segments, hosts))
-        return problems
-
-    @staticmethod
-    def _check_query_load(step, segments, hosts, host_apps, where, problems) -> None:
-        if not step.frontends:
-            problems.append(f"{where}: QueryLoad names no frontends")
-        for host in step.frontends:
-            if host not in hosts:
-                problems.append(f"{where}: QueryLoad frontend host {host!r} unknown")
-            elif not any(
-                isinstance(a, QueryFrontendApp) for a in host_apps.get(host, ())
-            ):
-                problems.append(
-                    f"{where}: QueryLoad frontend {host!r} has no QueryFrontendApp"
-                )
-        for segment in step.segments:
-            if segment != "lan0" and segment not in segments:
-                problems.append(f"{where}: QueryLoad segment {segment!r} unknown")
-        if not step.types:
-            problems.append(f"{where}: QueryLoad has no target types")
-        if (
-            step.clients_per_segment <= 0
-            or step.queries_per_client <= 0
-            or step.mean_interval_us <= 0
+        """All validation problems (empty when the spec is well-formed):
+        each item's placement, then its own ``check`` against what the
+        items before it declared, then the cross-item passes."""
+        ctx = _Context()
+        ctx.subnet(self.subnet)
+        for place, role, noun, items in (
+            ("elements", _Element, "topology element", self.elements),
+            ("workload", _Step, "workload step", self.workload),
         ):
-            problems.append(f"{where}: bad QueryLoad sizing")
-        if step.process not in QueryLoad.PROCESSES:
-            problems.append(f"{where}: unknown arrival process {step.process!r}")
-        if step.process == "bursty" and step.burst <= 0:
-            problems.append(f"{where}: bursty process needs burst >= 1")
-        if step.process == "diurnal" and step.diurnal_period_us <= 0:
-            problems.append(f"{where}: diurnal process needs a positive period")
-
-    @staticmethod
-    def _check_segment_ref(segment, segments, fleets, where, problems) -> None:
-        if segment is None or isinstance(segment, RingOwnerLeaf):
-            if isinstance(segment, RingOwnerLeaf) and segment.fleet not in fleets:
-                problems.append(f"{where}: RingOwnerLeaf names unknown fleet {segment.fleet!r}")
-            return
-        if not isinstance(segment, str):
-            problems.append(f"{where}: bad segment reference {segment!r}")
-        elif segment != "lan0" and segment not in segments:
-            problems.append(f"{where}: unknown segment {segment!r}")
-
-    @staticmethod
-    def _check_fault_step(step, segments, hosts, where, problems) -> None:
-        is_fault = isinstance(step, Fault)
-        label = "fault" if is_fault else "heal"
-        if step.kind not in type(step).KINDS:
-            problems.append(f"{where}: unknown {label} kind {step.kind!r}")
-            return
-
-        def known_segment(name: str) -> bool:
-            return name == "lan0" or name in segments
-
-        # Which operand each kind requires: exactly that one, nothing else.
-        needs = {
-            "cut": "link",
-            "isolate": "segment",
-            "detach": "host",
-            "link": "link",
-            "segment": "segment",
-            "attach": "host",
-        }.get(step.kind)
-        if step.kind in ("degrade", "clear"):
-            if (step.link is None) == (step.segment is None):
-                problems.append(
-                    f"{where}: {label} {step.kind!r} needs exactly one of "
-                    f"link/segment"
-                )
-        elif needs is not None and getattr(step, needs) is None:
-            problems.append(f"{where}: {label} {step.kind!r} needs {needs}")
-        if step.link is not None:
-            if len(step.link) != 2:
-                problems.append(f"{where}: link must be a (a, b) pair")
-            else:
-                for end in step.link:
-                    if not known_segment(end):
-                        problems.append(f"{where}: link end {end!r} unknown")
-        if step.segment is not None and not known_segment(step.segment):
-            problems.append(f"{where}: unknown segment {step.segment!r}")
-        if step.host is not None and step.host not in hosts:
-            problems.append(f"{where}: unknown host {step.host!r}")
-        if is_fault and step.kind == "degrade":
-            if not isinstance(step.rate, (int, float)):
-                problems.append(f"{where}: degrade rate {step.rate!r} is not a number")
-            elif not (0.0 <= step.rate < 1.0):
-                problems.append(f"{where}: degrade rate {step.rate!r} not in [0, 1)")
-            if step.model not in ("bernoulli", "gilbert"):
-                problems.append(f"{where}: unknown loss model {step.model!r}")
-
-    @staticmethod
-    def _check_load_step(step, segments, where, problems) -> None:
-        for leaf in step.leaves:
-            if leaf != "lan0" and leaf not in segments:
-                problems.append(f"{where}: chatter leaf {leaf!r} unknown")
-        if step.per_leaf < 0 or step.period_us <= 0:
-            problems.append(f"{where}: bad chatter sizing")
-        if not step.types:
-            problems.append(f"{where}: chatter has no target types")
+            for i, item in enumerate(items):
+                ctx.where = f"{place}[{i}]"
+                if isinstance(item, role):
+                    item.check(ctx)
+                else:
+                    ctx.problem(f"{type(item).__name__} is not a {noun}")
+        for where, load in ctx.query_loads:
+            for host in load.frontends:
+                if host in ctx.hosts and not ctx.has_app(host, QueryFrontendApp):
+                    ctx.problems.append(
+                        f"{where}: QueryLoad frontend {host!r} has no QueryFrontendApp"
+                    )
+        ctx.problems.extend(self._subnet_budget_problems(ctx.segments, ctx.hosts))
+        return ctx.problems
 
     def _subnet_budget_problems(self, segments, hosts) -> list[str]:
         """The address-budget guard: explicit hosts plus the background
@@ -1101,7 +1136,5 @@ __all__ = [
     "Emit",
     "Check",
     "TypeSweepReport",
-    "APP_SPECS",
-    "ELEMENT_SPECS",
-    "WORKLOAD_STEPS",
+    "INDISS_PROFILES",
 ]

@@ -265,7 +265,7 @@ class TestStalenessHonesty:
         assert fresh["status"] == "ok"
         stamp_fresh = fresh["staleness_us"]
 
-        world._apply_step(Fault("detach", host="gateway1"))
+        world.apply(Fault("detach", host="gateway1"))
         lag_us = 1_200_000
         world.run(lag_us)
         mid = client.ask("gateway0", wire.request("type", 2, st="warm"))
@@ -277,7 +277,7 @@ class TestStalenessHonesty:
         assert mid.get("stale") is True
         assert frontend.stats.stale_answers >= 1
 
-        world._apply_step(Heal("attach", host="gateway1"))
+        world.apply(Heal("attach", host="gateway1"))
         world.run(NOTIFY_US + 3 * GOSSIP_US + 300_000)
         healed = client.ask("gateway0", wire.request("type", 3, st="warm"))
         assert healed["status"] == "ok"

@@ -1,25 +1,37 @@
 """Spec-layer validation and the ``python -m repro.world`` CLI."""
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro.world
 from repro.world import (
     BridgeSpec,
     Chatter,
+    Check,
+    Delta,
     Fill,
     FleetSpec,
     HostSpec,
     IndissApp,
+    Ping,
     Probe,
+    QueryFrontendApp,
+    RingOwnerLeaf,
     SegmentSpec,
+    SetConfig,
     SlpClient,
+    Snapshot,
     SpecError,
+    TypeSweepReport,
     WorldSpec,
 )
+from repro.world.build import SPEC_TABLE
 from repro.world.scenarios import SCENARIO_SPECS
+from repro.world.spec import _Element, _Step
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -28,6 +40,21 @@ def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "repro.world", *args],
         capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+
+
+def _late_world(*workload, extra=()):
+    """A valid world for one suspect step or element to be added to."""
+    return WorldSpec(
+        "late",
+        elements=(
+            SegmentSpec("leaf", link_to="lan0"),
+            HostSpec("gw", apps=(IndissApp(profile="fleet"),)),
+            HostSpec("client", segment="leaf", apps=(SlpClient(),)),
+            FleetSpec("fleet", "lan0", ("gw",)),
+            *extra,
+        ),
+        workload=workload,
     )
 
 
@@ -117,6 +144,110 @@ class TestValidation:
         with pytest.raises(ValueError, match="at most 56 districts"):
             media_city_spec(districts=60, leaves_per_district=1)
 
+    def test_set_config_names_an_indiss_config_field(self):
+        # A typo would otherwise create a new attribute and leave the
+        # field the author meant at its old value.
+        spec = _late_world(SetConfig("answer_from_cahce", True, hosts=("gw",)))
+        with pytest.raises(SpecError, match="'answer_from_cahce' is not an Indiss"):
+            spec.validate()
+        _late_world(SetConfig("answer_from_cache", True, hosts=("gw",))).validate()
+
+    def test_negative_workload_fill_rejected(self):
+        # The budget sums element and workload fills, so a negative
+        # workload fill would hide an oversized element fill.
+        spec = WorldSpec("bad", elements=(Fill(400),), workload=(Fill(-300),))
+        with pytest.raises(SpecError, match=r"workload\[0\]: negative fill"):
+            spec.validate()
+
+    @pytest.mark.parametrize("spec, problem", [
+        pytest.param(
+            _late_world(Check("cache_full", host="gw")),
+            r"workload\[0\]: unknown check kind 'cache_full'",
+            id="check-kind",
+        ),
+        pytest.param(
+            _late_world(Check("cache_nonempty")),
+            r"workload\[0\]: Check names no host",
+            id="check-no-host",
+        ),
+        pytest.param(
+            _late_world(Check("cache_nonempty", host="client")),
+            "host 'client' carries no IndissApp",
+            id="check-host-no-indiss",
+        ),
+        pytest.param(
+            _late_world(Delta("d", "translations", "nope")),
+            "unknown snapshot 'nope'",
+            id="delta-unknown-snapshot",
+        ),
+        pytest.param(
+            _late_world(Snapshot("s", ("translation",))),
+            "unknown metric 'translation'",
+            id="snapshot-metric",
+        ),
+        pytest.param(
+            _late_world(
+                Snapshot("s", ("translations",)), Delta("d", "cache_answers:client", "s")
+            ),
+            r"workload\[1\]: metric 'cache_answers:client'",
+            id="delta-metric",
+        ),
+        pytest.param(
+            _late_world(
+                Probe("p", "service:x", segment="leaf"),
+                TypeSweepReport("fleet", (("x", True, "q"),)),
+            ),
+            r"workload\[1\]: unknown probe 'q'",
+            id="sweep-unknown-probe",
+        ),
+        pytest.param(
+            _late_world(Probe("p", "upnp:x", kind="upnp", host="client")),
+            "probe host 'client' has no ControlPoint",
+            id="probe-host-no-agent",
+        ),
+        pytest.param(
+            _late_world(
+                Probe("p", "service:x", host="client"),
+                Probe("p", "service:y", host="client"),
+            ),
+            r"workload\[1\]: duplicate probe name 'p'",
+            id="probe-duplicate",
+        ),
+        pytest.param(
+            _late_world(extra=(
+                HostSpec("fe"), QueryFrontendApp(host="fe"), IndissApp(host="fe"),
+            )),
+            r"elements\[5\]: QueryFrontendApp needs an IndissApp on 'fe' first",
+            id="frontend-before-indiss",
+        ),
+        pytest.param(
+            _late_world(extra=(Ping("gw", "client", 1_000, port=70_000),)),
+            "ping port 70000 outside 0-65535",
+            id="ping-port",
+        ),
+    ])
+    def test_late_failures_are_spec_errors(self, spec, problem):
+        """Each spec here passed validation once and then failed (or
+        misbehaved) only mid-run."""
+        with pytest.raises(SpecError, match=problem):
+            spec.validate()
+
+    def test_every_spec_kind_has_one_table_entry_and_a_check(self):
+        not_kinds = {
+            "WorldSpec", "ScenarioOutcome", "RingOwnerLeaf", "SlpServiceReg",
+            "JiniItem",
+        }
+        kinds = {
+            getattr(repro.world, name)
+            for name in repro.world.__all__
+            if name not in not_kinds
+            and dataclasses.is_dataclass(getattr(repro.world, name))
+        }
+        assert set(SPEC_TABLE) == kinds
+        for kind in kinds:
+            assert issubclass(kind, (_Element, _Step)), kind
+            assert callable(kind.check), kind
+
     def test_describe_renders_every_spec(self):
         for name, builder in SCENARIO_SPECS.items():
             text = builder().describe()
@@ -164,6 +295,27 @@ class TestCli:
         )
         result = _cli("describe", "gateway_chain", "sgments=4")
         assert result.stderr.strip().endswith("accepted: segments")
+
+    def test_validate_checks_the_partition_map_of_partitioned_specs(
+        self, monkeypatch, capsys
+    ):
+        from repro.world.__main__ import main
+
+        unpartitionable = WorldSpec(
+            "bridged_resolver",
+            elements=(
+                SegmentSpec("leaf", link_to="lan0"),
+                HostSpec("gw0", apps=(IndissApp(profile="fleet"),)),
+                FleetSpec("fleet", "lan0", ("gw0",)),
+                HostSpec("gw", segment=RingOwnerLeaf("fleet", "svc")),
+                BridgeSpec("gw", ("leaf",)),
+            ),
+            partitioned=True,
+        )
+        unpartitionable.validate()  # the schema alone is fine
+        monkeypatch.setitem(SCENARIO_SPECS, "bridged_resolver", lambda: unpartitionable)
+        assert main(["prog", "validate"]) == 1
+        assert "FAIL bridged_resolver: " in capsys.readouterr().err
 
     def test_builder_shape_error_is_one_line(self):
         for args in (("media_city", "districts=100"),

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bench.calibration import PAPER_TESTBED
+from repro.core import IndissConfig
 from repro.world import (
     BuildError,
     Chatter,
@@ -16,6 +18,7 @@ from repro.world import (
     SlpClient,
     SlpService,
     SlpServiceReg,
+    SpecError,
     World,
     WorldSpec,
     run_world,
@@ -83,6 +86,55 @@ class TestBuild:
         assert set(world.net.segments) == {"lan0", "den"}
         a, b = world.hosts["a"], world.hosts["b"]
         assert world.net.unicast_delay_us(a, b.address, 100) is not None
+
+
+def reference_indiss_config(profile: str, seed: int) -> IndissConfig:
+    """Each INDISS profile's config, spelled out field by field."""
+    costs = PAPER_TESTBED
+    common = dict(deployment="gateway", timings=costs.indiss, seed=seed)
+    delay = costs.indiss_upnp_responder_delay_us
+    return {
+        "paper": lambda: IndissConfig(
+            units=("slp", "upnp"), answer_from_cache=False,
+            upnp_responder_delay_us=delay, upnp_wait_us=300_000,
+            slp_wait_us=15_000, **common,
+        ),
+        "chain": lambda: IndissConfig(
+            units=("slp", "upnp"), dispatch="gateway-forward",
+            upnp_responder_delay_us=delay, upnp_wait_us=300_000,
+            slp_wait_us=350_000, **common,
+        ),
+        "fleet": lambda: IndissConfig(
+            units=("slp", "upnp"), dispatch="shard-ring",
+            upnp_responder_delay_us=delay, upnp_wait_us=300_000,
+            slp_wait_us=350_000, **common,
+        ),
+        "slp-jini": lambda: IndissConfig(
+            units=("slp", "jini"), slp_wait_us=15_000, **common,
+        ),
+        "media": lambda: IndissConfig(
+            units=("slp", "upnp", "jini"), dispatch="shard-ring",
+            upnp_responder_delay_us=delay, upnp_wait_us=300_000,
+            slp_wait_us=350_000, **common,
+        ),
+    }[profile]()
+
+
+class TestIndissProfiles:
+    @pytest.mark.parametrize(
+        "profile", ["paper", "chain", "fleet", "slp-jini", "media"]
+    )
+    def test_profile_config_is_field_for_field_equal(self, profile):
+        app = IndissApp(profile=profile, seed_offset=3)
+        spec = WorldSpec("profiles", elements=(HostSpec("gw", apps=(app,)),))
+        config = World.build(spec, seed=5).instances[0].config
+        assert config == reference_indiss_config(profile, seed=8)
+
+    def test_unknown_profile_is_a_spec_error(self):
+        app = IndissApp(profile="x")
+        spec = WorldSpec("bad", elements=(HostSpec("gw", apps=(app,)),))
+        with pytest.raises(SpecError, match="unknown INDISS profile 'x'"):
+            spec.validate()
 
 
 class TestRunControl:
