@@ -37,11 +37,13 @@ class ServiceCache:
     :meth:`store` — the authoritative path a re-announcing service takes —
     clears the tombstone immediately.
 
-    Two pieces of bookkeeping keep upkeep off the re-announcement path:
-    an **expiry watermark**, a lower bound on every entry and tombstone
-    expiry, so a sweep with nothing due is O(1); and a **location map**
+    Three pieces of bookkeeping keep upkeep off the hot paths: an
+    **expiry watermark**, a lower bound on every entry and tombstone
+    expiry, so a sweep with nothing due is O(1); a **location map**
     (description location -> keys), so :meth:`refresh_location` touches
-    only that device's entries.  :meth:`check` audits both.
+    only that device's entries; and a **type index** (service type ->
+    keys, in entry order), so :meth:`lookup` costs O(matches), not
+    O(entries).  :meth:`check` audits all three.
     """
 
     def __init__(self, clock: Callable[[], int], tombstone_ttl_s: int = 15):
@@ -59,6 +61,10 @@ class ServiceCache:
         #: record.location -> keys of the entries resolved from it (dicts
         #: used as insertion-ordered sets).
         self._by_location: dict[str, dict[tuple[str, str], None]] = {}
+        #: service type -> keys of that type.  A key's type is its
+        #: record's, and both dicts keep a replaced key in place and
+        #: append a new one, so each type's keys are in entry order.
+        self._by_type: dict[str, dict[tuple[str, str], None]] = {}
         self.hits = 0
         self.misses = 0
         #: Monotonic mutation counter: bumped whenever the entry set (or an
@@ -103,11 +109,16 @@ class ServiceCache:
             self._unmap_location(key, old)
         self._entries[key] = entry
         self._by_location.setdefault(entry.record.location, {})[key] = None
+        self._by_type.setdefault(key[0], {})[key] = None
         if entry.expires_at_us < self._watermark:
             self._watermark = entry.expires_at_us
 
     def _drop(self, key: tuple[str, str]) -> None:
         self._unmap_location(key, self._entries.pop(key))
+        keys = self._by_type[key[0]]
+        del keys[key]
+        if not keys:
+            del self._by_type[key[0]]
 
     def _unmap_location(self, key: tuple[str, str], entry: CacheEntry) -> None:
         location = entry.record.location
@@ -295,12 +306,9 @@ class ServiceCache:
     def lookup(self, service_type: str) -> list[ServiceRecord]:
         """All live records whose normalized type matches."""
         self._evict()
-        wanted = normalize_service_type(service_type)
-        found = [
-            entry.record
-            for entry in self._entries.values()
-            if entry.record.service_type == wanted
-        ]
+        keys = self._by_type.get(normalize_service_type(service_type))
+        entries = self._entries
+        found = [entries[key].record for key in keys] if keys else []
         if found:
             self.hits += 1
         else:
@@ -348,8 +356,9 @@ class ServiceCache:
 
     def check(self) -> list[str]:
         """Bookkeeping audit, without sweeping: the watermark bounds every
-        entry and tombstone expiry from below, and the location map equals
-        one recomputed from the entries.  Returns the problems found."""
+        entry and tombstone expiry from below, and the location map and
+        the type index (order included) equal ones recomputed from the
+        entries.  Returns the problems found."""
         problems: list[str] = []
         for key, entry in self._entries.items():
             if entry.expires_at_us < self._watermark:
@@ -363,6 +372,14 @@ class ServiceCache:
         mapped = {location: set(keys) for location, keys in self._by_location.items()}
         if mapped != truth:
             problems.append("location map differs from the entries")
+        by_type: dict[str, list] = {}
+        for key, entry in self._entries.items():
+            if key[0] != entry.record.service_type:
+                problems.append(f"key type differs from its record's: {key!r}")
+            by_type.setdefault(key[0], []).append(key)
+        indexed = {service_type: list(keys) for service_type, keys in self._by_type.items()}
+        if indexed != by_type:
+            problems.append("type index differs from the entries")
         return problems
 
 

@@ -49,6 +49,10 @@ from .unit import IndissTimings, Unit, UnitRuntime
 
 UnitFactory = Callable[["Indiss", UnitRuntime], Unit]
 
+#: Cache-answer reply streams one instance keeps (see
+#: :meth:`Indiss._cached_reply`).
+_REPLIES_MAX = 1024
+
 
 @dataclass
 class IndissConfig:
@@ -153,6 +157,9 @@ class Indiss:
         #: node's district, memoized on first use.
         self._obs_frame: int | None = None
         self._obs_pid: int | None = None
+        #: Cache-answer reply streams: (id(record), origin SDP) ->
+        #: (record, stream); see :meth:`_cached_reply`.
+        self._replies: dict[tuple[int, str], tuple[ServiceRecord, tuple]] = {}
         #: Application-layer listeners tracing every parsed stream
         #: (paper §2.3: upper layers "trace, in real time, SDP internal
         #: mechanisms").
@@ -451,10 +458,8 @@ class Indiss:
             target.handle_foreign_request(classified.stream, session)
 
     def _answer_from_cache(self, session: TranslationSession, record: ServiceRecord) -> None:
-        from ..units.records import stream_from_record
-
         self.session_manager.record_cache_answer(session)
-        reply = stream_from_record(record, session.origin_sdp)
+        reply = self._cached_reply(record, session.origin_sdp)
         session.log("indiss: answered from service cache")
         obs = self.node.network.obs
         if obs.on:
@@ -470,6 +475,26 @@ class Indiss:
             self.config.timings.cache_lookup_us,
             lambda: session.complete_with(reply),
         )
+
+    def _cached_reply(self, record: ServiceRecord, origin_sdp: str) -> list[Event]:
+        """The reply stream answering ``origin_sdp`` with ``record``.
+
+        Control points re-search the same types, so one cached record
+        answers many sessions; its stream is unfolded once per record and
+        origin.  Entries hold their record, so a key's ``id`` cannot be
+        reused while the entry lives.
+        """
+        from ..units.records import stream_from_record
+
+        key = (id(record), origin_sdp)
+        entry = self._replies.get(key)
+        if entry is None:
+            if len(self._replies) >= _REPLIES_MAX:
+                self._replies.clear()
+            entry = self._replies[key] = (
+                record, tuple(stream_from_record(record, origin_sdp))
+            )
+        return list(entry[1])
 
     def _reply_source_sdp(self, reply_stream: list[Event], session: TranslationSession) -> str:
         """Which SDP the answering service natively speaks.
@@ -503,13 +528,13 @@ class Indiss:
             self.session_manager.record_timeout()
             session.log("indiss: no service found; staying silent")
             return
-        if self.config.cache_discoveries:
+        if self.config.cache_discoveries and not session.answered_from_cache:
             from ..units.records import record_from_stream
 
             record = record_from_stream(
                 reply_stream, source_sdp=self._reply_source_sdp(reply_stream, session)
             )
-            if record is not None and not session.answered_from_cache:
+            if record is not None:
                 self.cache.store(record)
         if origin_unit is not None:
             origin_unit.compose_reply(reply_stream, session)

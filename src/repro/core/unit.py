@@ -54,6 +54,11 @@ class IndissTimings:
 
 StreamListener = Callable[[list[Event], NetworkMeta], None]
 
+#: Distinct monitored frames one unit remembers the event stream of.
+STREAM_CACHE_SIZE = 128
+#: Event data value types whose equal values are interchangeable.
+_POOLED_TYPES = frozenset({str, int, bool, bytes, type(None)})
+
 
 class UnitRuntime:
     """Node-facing I/O for one unit."""
@@ -94,11 +99,16 @@ class UnitRuntime:
     def send_udp_from_new_socket(
         self, payload: bytes, destination: Endpoint, decode_hint: tuple | None = None
     ) -> None:
-        """Fire-and-forget from a throwaway socket (replies not expected)."""
+        """Fire-and-forget from a throwaway socket (replies not expected).
+
+        The socket closes right after the send, so its ephemeral port goes
+        back to the node's pool.
+        """
         socket = self.node.udp.socket()
         socket.sendto(payload, destination, decode_hint=decode_hint)
         if self._register_own_port is not None and socket.port is not None:
             self._register_own_port(self.node.address, socket.port)
+        socket.close()
         self.messages_sent += 1
 
     def http(
@@ -155,6 +165,17 @@ class Unit:
         #: (the per-frame memo), rather than parsed here.
         self.streams_shared = 0
         self.streams_dispatched = 0
+        #: Cross-frame stream cache for monitored traffic (see
+        #: :meth:`_parse_cross_frame`): (syntax, payload, source,
+        #: multicast) -> event stream.  Off (None) when the network runs
+        #: with ``parse_once=False``, which prices every receiver's parse.
+        self._streams: dict | None = {} if runtime.node.network.parse_once else None
+        #: Events of the cached streams, one instance per distinct event:
+        #: a device's NOTIFYs repeat most of their events, so interning
+        #: keeps the cache a small multiple of the distinct events.
+        self._events: dict = {}
+        #: Hashes of the keys of frames parsed once so far.
+        self._seen: set[int] = set()
         runtime.on_datagram(self._on_native_datagram)
 
     # -- listeners (event-based architecture: units are generators/listeners) --
@@ -199,18 +220,89 @@ class Unit:
         are immutable, so sharing them across instances is safe; the list
         is copied so no receiver can alias another's stream.
         """
+        return self._parse_shared(raw, meta, None)
+
+    def _parse_shared(
+        self, raw: bytes, meta: NetworkMeta, streams: dict | None
+    ) -> list[Event] | None:
+        """:meth:`parse_raw`, and on a frame-memo miss the cross-frame
+        stream cache ``streams`` when one is given."""
         memo = meta.memo if meta is not None else None
-        if memo is None:
-            return self._parse_raw_uncached(raw, meta)
         key = ("indiss", self.sdp_id, self.current_syntax)
-        cached = memo.lookup(key, raw)
-        if cached is not MEMO_MISS:
+        if memo is not None:
+            cached = memo.lookup(key, raw)
+            if cached is not MEMO_MISS:
+                self.streams_shared += 1
+                self.parse_counter.shared += 1
+                return None if cached is None else list(cached)
+        if streams is None:
+            stream = self._parse_raw_uncached(raw, meta)
+            if memo is not None:
+                memo.store(key, raw, None if stream is None else tuple(stream))
+            return stream
+        stream, frozen = self._parse_cross_frame(raw, meta, streams)
+        if memo is not None:
+            memo.store(key, raw, frozen)
+        return stream
+
+    def _parse_cross_frame(
+        self, raw: bytes, meta: NetworkMeta, streams: dict
+    ) -> tuple[list[Event] | None, tuple | None]:
+        """The stream of a monitored frame and its tuple form.
+
+        Monitored traffic repeats: periodic NOTIFY bursts, re-sent
+        searches.  A stream is a pure function of the current syntax, the
+        payload, the source and the multicast flag, so a frame equal to an
+        earlier one in all four reuses that frame's stream.  A hit counts
+        as a share, exactly like taking another receiver's parse from the
+        frame memo.  A stream is cached on the second sighting of its
+        frame, so frames that never repeat (a fresh world's one
+        translation) leave nothing behind for the garbage collector to
+        scan.  Streams that switched parsers are never cached: the XML
+        parser reads per-fetch state (``base_url``).
+        """
+        key = (self.current_syntax, raw, meta.source, meta.multicast)
+        cached = streams.get(key)
+        if cached is not None:
             self.streams_shared += 1
             self.parse_counter.shared += 1
-            return None if cached is None else list(cached)
+            return list(cached), cached
         stream = self._parse_raw_uncached(raw, meta)
-        memo.store(key, raw, None if stream is None else list(stream))
-        return stream
+        if stream is None:
+            return None, None
+        frozen = tuple(stream)
+        sighting = hash(key)
+        if sighting not in self._seen:
+            if len(self._seen) >= 8 * STREAM_CACHE_SIZE:
+                self._seen.clear()
+            self._seen.add(sighting)
+        elif not any(event.type is SDP_C_PARSER_SWITCH for event in frozen):
+            if len(streams) >= STREAM_CACHE_SIZE:
+                del streams[next(iter(streams))]  # oldest first
+            frozen = streams[key] = self._intern(frozen)
+        return stream, frozen
+
+    def _intern(self, stream: tuple) -> tuple:
+        """``stream`` with each event replaced by the pooled equal one.
+
+        Only events whose data values are of a :data:`_POOLED_TYPES` type
+        are pooled, and the key carries each value's type: for those,
+        equal keys mean interchangeable events (``1``, ``1.0`` and
+        ``True`` are equal but print differently).
+        """
+        pool = self._events
+        if len(pool) >= 8 * STREAM_CACHE_SIZE:
+            pool.clear()  # cached streams keep their events alive
+        pooled = []
+        for event in stream:
+            data = event.data
+            types = tuple(map(type, data.values()))
+            if _POOLED_TYPES.issuperset(types):
+                event = pool.setdefault(
+                    (event.type.name, *data, *data.values(), *types), event
+                )
+            pooled.append(event)
+        return tuple(pooled)
 
     def _parse_raw_uncached(self, raw: bytes, meta: NetworkMeta) -> list[Event] | None:
         stream = self.parser.try_parse(raw, meta)
@@ -238,7 +330,7 @@ class Unit:
 
     def handle_environment_message(self, raw: bytes, meta: NetworkMeta) -> list[Event] | None:
         """Raw data from the monitor: parse and publish the stream."""
-        stream = self.parse_raw(raw, meta)
+        stream = self._parse_shared(raw, meta, self._streams)
         if stream is not None:
             self._notify(stream, meta)
         return stream

@@ -54,10 +54,12 @@ lossless fleet must gossip byte-identically with the knob absent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..net import Datagram, Endpoint
+from ..net.udp import shared_decode
 from ..sdp.base import ServiceRecord
 from .shard import ring_hash
 
@@ -72,6 +74,13 @@ GOSSIP_PORT = 4610
 #: Records per delta message; a digest round moves at most this many and
 #: the remainder follows in later rounds (bounds datagram size).
 DEFAULT_MAX_DELTA_RECORDS = 32
+
+#: Frame-memo key of a decoded gossip message.  Every send seeds the
+#: frame with the dict it encoded, so receivers never ``json.loads``.
+GOSSIP_MEMO_KEY = "gossip-json"
+
+#: Cache keys whose wire key and digest fragment a gossiper remembers.
+_KEY_PARTS_MAX = 4096
 
 
 @dataclass
@@ -134,6 +143,26 @@ def _record_to_wire(key: tuple[str, str], entry) -> dict:
     }
 
 
+def _decode_message(payload: bytes) -> dict | None:
+    """A gossip datagram's message; None unless it is a JSON object."""
+    try:
+        message = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    return message if isinstance(message, dict) else None
+
+
+def _number(value) -> str:
+    """``json.dumps(value)`` for an expiry, without the encoder call."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value)
+
+
+def _encode(message: dict) -> bytes:
+    return json.dumps(message, sort_keys=True).encode("utf-8")
+
+
 def _record_from_wire(wire: dict) -> tuple[ServiceRecord, float]:
     record = ServiceRecord(
         service_type=str(wire.get("t", "")),
@@ -175,8 +204,14 @@ class CacheGossiper:
         self._silent_rounds: dict[str, int] = {}
         self.stats = GossipStats()
         self._peer_cursor = 0
-        #: Encode-once digest: (cache version it was built at, payload).
-        self._digest_payload: tuple[int, bytes] | None = None
+        #: Encode-once digest: (cache version it was built at, payload,
+        #: message).
+        self._digest_payload: tuple[int, bytes, dict] | None = None
+        #: Per cache key: (wire key, its JSON text plus ``": "``, expiry,
+        #: digest fragment ``"wire key": expiry``).  NOTIFY refreshes move
+        #: a few expiries per round, so a rebuilt digest re-renders only
+        #: those keys' numbers.
+        self._key_parts: dict[tuple[str, str], tuple[str, str, object, str]] = {}
         #: Per-record wire-form cache for deltas: key -> (expiry, wire dict).
         self._wire_cache: dict[tuple[str, str], tuple[float, dict]] = {}
         self._socket = indiss.node.udp.socket().bind(port, reuse=True)
@@ -211,8 +246,8 @@ class CacheGossiper:
         self.fleet.health.note_round(self.member_id, self.indiss.node.now_us)
         peer = peers[self._peer_cursor % len(peers)]
         self._peer_cursor += 1
-        payload = self._digest_bytes()
-        self._send_raw(peer, payload)
+        payload, message = self._digest()
+        self._send_raw(peer, payload, message)
         self.stats.digests_sent += 1
         if self.catchup_after is not None:
             silent = self._silent_rounds.get(peer, 0) + 1
@@ -232,46 +267,71 @@ class CacheGossiper:
             obs.metrics.counter("federation.rounds", member=self.member_id).inc()
             obs.metrics.histogram("federation.digest_bytes").observe(len(payload))
 
-    def _digest_bytes(self) -> bytes:
-        """The serialized digest, rebuilt only when the cache changed.
+    def _digest(self) -> tuple[bytes, dict]:
+        """The serialized digest and its message, rebuilt only when the
+        cache changed.
 
         The cache's digest is a pure function of its live entries (absolute
         expiries, so nothing in it depends on *when* it is serialized), and
         the ``from`` field is fixed — so one payload serves every peer and
         every steady-state round until the cache's version moves.  TTL
         expiry is folded in by evicting first, which bumps the version.
+
+        The payload is ``json.dumps(message, sort_keys=True)`` byte for
+        byte, but its ``entries`` object is joined from per-key fragments
+        (:attr:`_key_parts`); only the other fields go through the encoder.
         """
         cache = self.indiss.cache
         cache.evict_expired()
         wire_util = self.fleet.wire_utilization
         cached = self._digest_payload
         if not wire_util and cached is not None and cached[0] == cache.version:
-            return cached[1]
-        entries = {
-            f"{key[0]}|{key[1]}": expires
-            for key, expires in cache.digest().items()
-        }
+            return cached[1], cached[2]
+        parts = self._key_parts
+        if len(parts) >= _KEY_PARTS_MAX:
+            parts.clear()
+        entries = {}
+        fragments = {}
+        for key, expires in cache.digest().items():
+            part = parts.get(key)
+            if part is None:
+                wire_key = f"{key[0]}|{key[1]}"
+                prefix = f"{json.dumps(wire_key)}: "
+                part = parts[key] = (wire_key, prefix, expires, prefix + _number(expires))
+            elif part[2] is not expires:
+                part = parts[key] = (*part[:2], expires, part[1] + _number(expires))
+            entries[part[0]] = expires
+            fragments[part[0]] = part[3]
         tombstones = {
-            f"{key[0]}|{key[1]}": [deleted, expires]
+            self._wire_key(key): [deleted, expires]
             for key, (deleted, expires) in cache.tombstones().items()
         }
-        message = {"kind": "digest", "from": self.member_id, "entries": entries}
+        rest = {"kind": "digest", "from": self.member_id}
         if tombstones:
-            message["tombstones"] = tombstones
+            rest["tombstones"] = tombstones
         if wire_util:
             # Piggyback this member's *locally measured* utilization so
             # peers elect from wire-carried samples, not shared monitors.
             # The sample changes every round, so the encode-once cache is
             # bypassed while the knob is on (off keeps it byte-identical).
-            message["util"] = [
+            rest["util"] = [
                 self.indiss.node.now_us,
                 round(self.fleet.elector.member_load(self.member_id), 6),
             ]
-        payload = json.dumps(message, sort_keys=True).encode("utf-8")
+        # "entries" sorts before every other key: splice it in first.
+        body = ", ".join([fragments[wire_key] for wire_key in sorted(fragments)])
+        payload = f'{{"entries": {{{body}}}, {json.dumps(rest, sort_keys=True)[1:]}'
+        payload = payload.encode("utf-8")
+        message = {**rest, "entries": entries}
         if not wire_util:
-            self._digest_payload = (cache.version, payload)
+            self._digest_payload = (cache.version, payload, message)
         self.stats.digest_encodes += 1
-        return payload
+        return payload, message
+
+    def _wire_key(self, key: tuple[str, str]) -> str:
+        """The ``type|url`` string naming ``key`` on the wire, built once."""
+        part = self._key_parts.get(key)
+        return f"{key[0]}|{key[1]}" if part is None else part[0]
 
     def _catch_up(self, peer: str) -> None:
         """Escalate at a silent peer: push a full delta unsolicited.
@@ -289,7 +349,7 @@ class CacheGossiper:
             if len(records) >= self.max_delta_records:
                 break
         tombstones = {
-            f"{key[0]}|{key[1]}": [deleted, expires]
+            self._wire_key(key): [deleted, expires]
             for key, (deleted, expires) in self.indiss.cache.tombstones().items()
         }
         if not records and not tombstones:
@@ -298,8 +358,8 @@ class CacheGossiper:
         if tombstones:
             delta["tombstones"] = tombstones
             self.stats.tombstones_sent += len(tombstones)
-        payload = json.dumps(delta, sort_keys=True).encode("utf-8")
-        self._send_raw(peer, payload)
+        payload = _encode(delta)
+        self._send_raw(peer, payload, delta)
         self.stats.deltas_sent += 1
         self.stats.records_sent += len(records)
         self.stats.catchup_escalations += 1
@@ -336,9 +396,7 @@ class CacheGossiper:
             if not self.fleet.is_electable(peer):
                 continue
             message = {"kind": "bootstrap_req", "from": self.member_id}
-            self._send_raw(
-                peer, json.dumps(message, sort_keys=True).encode("utf-8")
-            )
+            self._send_raw(peer, _encode(message), message)
             self.stats.bootstrap_requests += 1
             obs = self.indiss.node.network.obs
             if obs.on:
@@ -357,24 +415,30 @@ class CacheGossiper:
         return node.network.partition_of_node(node)
 
     def _send(self, peer_address: str, message: dict) -> None:
-        payload = json.dumps(message, sort_keys=True).encode("utf-8")
+        payload = _encode(message)
         obs = self.indiss.node.network.obs
         if obs.on and message.get("kind") == "delta":
             obs.metrics.histogram("federation.delta_bytes").observe(len(payload))
             obs.metrics.counter(
                 "federation.delta_records", member=self.member_id
             ).inc(len(message.get("records", ())))
-        self._send_raw(peer_address, payload)
+        self._send_raw(peer_address, payload, message)
 
-    def _send_raw(self, peer_address: str, payload: bytes) -> None:
-        self._socket.sendto(payload, Endpoint(peer_address, self.port))
+    def _send_raw(self, peer_address: str, payload: bytes, message: dict) -> None:
+        """Send ``payload``, the encoding of ``message``; the frame carries
+        the dict as its decode hint.  Neither side mutates a sent message."""
+        self._socket.sendto(
+            payload, Endpoint(peer_address, self.port),
+            decode_hint=(GOSSIP_MEMO_KEY, message),
+        )
 
     # -- receiving ----------------------------------------------------------
 
     def _on_datagram(self, datagram: Datagram) -> None:
-        try:
-            message = json.loads(datagram.payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        message = shared_decode(
+            datagram.memo, GOSSIP_MEMO_KEY, datagram.payload, _decode_message
+        )
+        if message is None:
             self.stats.decode_errors += 1
             return
         kind = message.get("kind")
@@ -436,8 +500,10 @@ class CacheGossiper:
         if "tombstones" in message:
             self._apply_tombstones(message["tombstones"])
         records = []
+        parts = self._key_parts
         for key, entry in self.indiss.cache.live_entries():
-            wire_key = f"{key[0]}|{key[1]}"
+            part = parts.get(key)
+            wire_key = f"{key[0]}|{key[1]}" if part is None else part[0]
             try:
                 their_expiry = float(theirs.get(wire_key, 0))
             except (TypeError, ValueError):
@@ -454,7 +520,7 @@ class CacheGossiper:
         our_tombstones = self.indiss.cache.tombstones()
         if our_tombstones:
             for key, (deleted, expires) in our_tombstones.items():
-                wire_key = f"{key[0]}|{key[1]}"
+                wire_key = self._wire_key(key)
                 if wire_key in theirs:
                     tombstones[wire_key] = [deleted, expires]
         if not records and not tombstones:
@@ -557,15 +623,15 @@ class CacheGossiper:
             for key, entry in self.indiss.cache.live_entries()
         ]
         tombstones = {
-            f"{key[0]}|{key[1]}": [deleted, expires]
+            self._wire_key(key): [deleted, expires]
             for key, (deleted, expires) in self.indiss.cache.tombstones().items()
         }
         reply = {"kind": "bootstrap", "from": self.member_id, "records": records}
         if tombstones:
             reply["tombstones"] = tombstones
             self.stats.tombstones_sent += len(tombstones)
-        payload = json.dumps(reply, sort_keys=True).encode("utf-8")
-        self._send_raw(peer, payload)
+        payload = _encode(reply)
+        self._send_raw(peer, payload, reply)
         self.stats.bootstrap_served += 1
         self.stats.bootstrap_records_sent += len(records)
         self.stats.bootstrap_bytes += len(payload)
@@ -631,6 +697,7 @@ class CacheGossiper:
 
 __all__ = [
     "CacheGossiper",
+    "GOSSIP_MEMO_KEY",
     "GossipStats",
     "GOSSIP_PORT",
     "DEFAULT_MAX_DELTA_RECORDS",

@@ -34,6 +34,11 @@ class TrafficMonitor:
     bucket adds its bytes there, so a multicast burst costs one bucket.
     Eviction pops buckets from the front exactly where it would have
     popped the samples they merge, so every window query is unchanged.
+
+    A frame may be booked at an earlier time than the latest one booked
+    so far (a district crossing books its send time).  Every bucket after
+    the newest such *late* bucket is at least as recent as all buckets
+    before it, which is what lets :meth:`bytes_in_window` stop early.
     """
 
     def __init__(self, bandwidth_bps: int | None, window_us: int = 5_000_000):
@@ -41,6 +46,9 @@ class TrafficMonitor:
         self._window_us = window_us
         self._per_port: dict[int, PortCounters] = defaultdict(PortCounters)
         self._recent: deque[list[int]] = deque()
+        #: Latest time booked so far, and the newest late bucket.
+        self._latest_us = -1
+        self._late: list[int] | None = None
         self.total_messages = 0
         self.total_bytes = 0
 
@@ -57,7 +65,12 @@ class TrafficMonitor:
         if recent and recent[-1][0] == time_us:
             recent[-1][1] += size
             return
-        recent.append([time_us, size])
+        bucket = [time_us, size]
+        recent.append(bucket)
+        if time_us < self._latest_us:
+            self._late = bucket
+        else:
+            self._latest_us = time_us
         horizon = time_us - self._window_us
         while recent[0][0] < horizon:
             recent.popleft()
@@ -76,7 +89,20 @@ class TrafficMonitor:
                 f"window {window_us} exceeds monitor retention {self._window_us}"
             )
         horizon = now_us - window_us
-        return sum(size for time_us, size in self._recent if time_us >= horizon)
+        total = 0
+        # Walk back from the newest bucket.  Until the walk reaches the
+        # newest late bucket, a bucket older than the horizon has only
+        # older ones before it.
+        late = self._late
+        may_stop = True
+        for bucket in reversed(self._recent):
+            if bucket is late:
+                may_stop = False
+            if bucket[0] >= horizon:
+                total += bucket[1]
+            elif may_stop:
+                break
+        return total
 
     def utilization(self, now_us: int, window_us: int = 1_000_000) -> float:
         """Fraction of segment bandwidth consumed over the trailing window.

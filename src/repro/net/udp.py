@@ -407,13 +407,14 @@ class UdpStack:
                 self._reusable.discard(port)
 
     def ephemeral_port(self) -> int:
-        while self._next_ephemeral in self._ports:
-            self._next_ephemeral += 1
-            if self._next_ephemeral > 65535:
-                raise NotBoundError("ephemeral port space exhausted")
-        port = self._next_ephemeral
-        self._next_ephemeral += 1
-        return port
+        """The next free port at or after the cursor, wrapping from 65535
+        back to :attr:`EPHEMERAL_BASE`; raises only when all are bound."""
+        for _ in range(65536 - self.EPHEMERAL_BASE):
+            port = self._next_ephemeral
+            self._next_ephemeral = port + 1 if port < 65535 else self.EPHEMERAL_BASE
+            if port not in self._ports:
+                return port
+        raise NotBoundError("ephemeral port space exhausted")
 
     def sockets_for(self, port: int) -> list[UdpSocket]:
         return list(self._ports.get(port, ()))

@@ -52,6 +52,9 @@ from .ssdp import (
 
 ActionHandler = Callable[[SoapCall], dict]
 
+#: Distinct search targets one device remembers answers for.
+_MAX_ANSWERS = 256
+
 
 @dataclass
 class UpnpTimings:
@@ -115,6 +118,12 @@ class UpnpDevice:
 
         #: Encode-once NOTIFY alive burst: (targets key, [(payload, message)]).
         self._alive_burst: tuple[tuple[str, ...], list] | None = None
+        #: Answer-once M-SEARCH table, valid for one targets key: ST ->
+        #: (response payload, seeded message), or None when nothing here
+        #: matches that ST.  Control points re-search the same few types,
+        #: so every repeat is one dict lookup instead of a matching scan.
+        self._answers_key: list[str] = []
+        self._answers: dict[str, tuple[bytes, object] | None] = {}
         self._parse_counter = node.network.parse_counter("upnp")
 
         self._ssdp_socket = node.udp.socket().bind(SSDP_PORT, reuse=True)
@@ -149,9 +158,11 @@ class UpnpDevice:
 
     def notification_targets(self) -> list[str]:
         """All (NT, USN) advertisement targets per UPnP DA 1.0 §1.1.2."""
-        targets = [UPNP_ROOTDEVICE, self.udn, self.description.device_type]
-        targets.extend(s.service_type for s in self.description.services)
-        return targets
+        description = self.description
+        return [
+            UPNP_ROOTDEVICE, description.udn, description.device_type,
+            *[service.service_type for service in description.services],
+        ]
 
     def on_action(self, service_type: str, action: str, handler: ActionHandler) -> None:
         """Register the implementation of one SOAP action."""
@@ -214,23 +225,12 @@ class UpnpDevice:
             return
         if message.kind is not SsdpKind.MSEARCH:
             return
-        matching = [
-            target
-            for target in self.notification_targets()
-            if st_matches(message.target, target, usn=self.usn_for(target))
-        ]
-        if not matching:
+        answer = self._answer_for(message.target)
+        if answer is None:
             return
         self.searches_answered += 1
         source = datagram.source
-        # A compliant responder answers once per matching target; one is
-        # enough for discovery and keeps traces readable.
-        target = matching[0]
-        response, parsed = seeded_search_response(
-            st=message.target if message.target != "ssdp:all" else target,
-            usn=self.usn_for(target),
-            location=self.location,
-        )
+        response, parsed = answer
         delay = self.timings.sample_search_delay(self._rng)
         self._parse_counter.note_seed()
         self.node.schedule(
@@ -239,6 +239,37 @@ class UpnpDevice:
                 response, source, decode_hint=(SSDP_MEMO_KEY, parsed)
             ),
         )
+
+    def _answer_for(self, st: str) -> tuple[bytes, object] | None:
+        """The search response for ``st`` (None: no target matches).
+
+        The answer depends only on the ST and this device's targets, so it
+        is built on the first search for that ST and reused until the
+        targets change (the same key the alive burst is rebuilt on).
+        """
+        targets = self.notification_targets()
+        if targets != self._answers_key:
+            self._answers_key = targets
+            self._answers = {}
+        answers = self._answers
+        if st in answers:
+            return answers[st]
+        # A compliant responder answers once per matching target; one is
+        # enough for discovery and keeps traces readable.
+        target = next(
+            (t for t in targets if st_matches(st, t, usn=self.usn_for(t))), None
+        )
+        answer = None
+        if target is not None:
+            answer = seeded_search_response(
+                st=st if st != "ssdp:all" else target,
+                usn=self.usn_for(target),
+                location=self.location,
+            )
+        if len(answers) >= _MAX_ANSWERS:
+            answers.clear()  # bound the table against arbitrary STs
+        answers[st] = answer
+        return answer
 
     # -- HTTP server ---------------------------------------------------------------
 

@@ -301,6 +301,15 @@ class UpnpEventComposer(SdpComposer):
         )
 
 
+#: Stands in for the session id when an exported description is rendered
+#: as a template (see :meth:`DescriptionExporter.export`).
+_SESSION_MARK = "\x00session\x00"
+_ONCE = "once"
+_NEVER = "never"
+#: Distinct records one exporter keeps a description template for.
+_TEMPLATES_MAX = 256
+
+
 class DescriptionExporter:
     """HTTP server publishing synthesized descriptions for translated
     services, so native UPnP clients can dereference LOCATION."""
@@ -309,6 +318,12 @@ class DescriptionExporter:
         self.runtime = runtime
         self.port = port
         self._documents: dict[str, bytes] = {}
+        #: Render-once descriptions, keyed by the record fields a
+        #: document shows: the document split around the session id, or
+        #: ``_ONCE`` (exported once so far) or ``_NEVER`` (splitting does
+        #: not reproduce the direct render).  A cache answer exports the
+        #: same record under a new session id each time.
+        self._templates: dict[tuple, list[bytes] | str] = {}
         self._listener = runtime.node.tcp.listen(port, self._on_connection)
         self.serves = 0
 
@@ -318,12 +333,41 @@ class DescriptionExporter:
     def export(self, record: ServiceRecord, session_id: int) -> str:
         """Publish a description for ``record``; returns its LOCATION URL."""
         path = f"/translated/{record.service_type}-{session_id}/description.xml"
+        attributes = record.attributes
+        key = (
+            record.service_type, record.url, attributes.get("friendlyName"),
+            attributes.get("manufacturer"), attributes.get("modelName"),
+            attributes.get("modelDescription"),
+        )
+        session = str(session_id).encode()
+        template = self._templates.get(key)
+        if isinstance(template, list):
+            document = session.join(template)
+        else:
+            document = self._render(record, str(session_id))
+            # A template pays off from the third export on; a record
+            # exported once (a fresh world's one translation) never
+            # renders twice.
+            if template is None:
+                if len(self._templates) >= _TEMPLATES_MAX:
+                    self._templates.clear()
+                self._templates[key] = _ONCE
+            elif template is _ONCE:
+                pieces = self._render(record, _SESSION_MARK).split(_SESSION_MARK.encode())
+                self._templates[key] = pieces if session.join(pieces) == document else _NEVER
+        self._documents[path] = document
+        return f"http://{self.runtime.address}:{self.port}{path}"
+
+    @staticmethod
+    def _render(record: ServiceRecord, session: str) -> bytes:
+        """The description document of ``record`` exported under ``session``."""
+        path = f"/translated/{record.service_type}-{session}/description.xml"
         description = DeviceDescription(
             device_type=upnp_device_type(record.service_type),
             friendly_name=record.attributes.get(
                 "friendlyName", f"INDISS {record.service_type}"
             ),
-            udn=f"uuid:indiss-{record.service_type}-{session_id}",
+            udn=f"uuid:indiss-{record.service_type}-{session}",
             manufacturer=record.attributes.get("manufacturer", "INDISS"),
             model_name=record.attributes.get("modelName", record.service_type),
             model_description=record.attributes.get("modelDescription", ""),
@@ -337,8 +381,7 @@ class DescriptionExporter:
                 )
             ],
         )
-        self._documents[path] = description.to_xml().encode("utf-8")
-        return f"http://{self.runtime.address}:{self.port}{path}"
+        return description.to_xml().encode("utf-8")
 
     def _on_connection(self, connection) -> None:
         parser = HttpStreamParser()

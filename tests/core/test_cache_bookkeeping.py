@@ -255,3 +255,58 @@ def test_check_reports_broken_bookkeeping():
     problems = cache.check()
     assert any("watermark" in p for p in problems)
     assert any("location map" in p for p in problems)
+
+
+# -- the type index ----------------------------------------------------------
+
+MANY_TYPES = ("clock", "printer", "urn:schemas-upnp-org:device:clock:1", "service:printer:lpr")
+MANY_URLS = tuple(f"http://10.0.0.{i}/s" for i in range(1, 7))
+typed_records = st.builds(
+    ServiceRecord,
+    service_type=st.sampled_from(MANY_TYPES).map(normalize_service_type),
+    url=st.sampled_from(MANY_URLS),
+    lifetime_s=st.sampled_from((1, 2, 5)),
+    location=st.sampled_from(LOCATIONS),
+)
+typed_operations = st.one_of(
+    st.tuples(st.just("store"), typed_records),
+    st.tuples(st.just("merge"), typed_records, quarter_seconds),
+    st.tuples(st.just("remove_url"), st.sampled_from(MANY_URLS)),
+    st.tuples(st.just("remove_type"), st.sampled_from(MANY_TYPES), st.just("")),
+    st.tuples(st.just("refresh_location"), st.sampled_from(LOCATIONS)),
+    st.tuples(st.just("advance"), st.integers(min_value=0, max_value=12)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(typed_operations, max_size=50))
+def test_lookup_answers_in_full_scan_order(ops):
+    """After every operation, ``lookup`` of every type (raw or normalized
+    spelling) returns the full scan's records in the full scan's order."""
+    clock = Clock()
+    cache = ServiceCache(clock, tombstone_ttl_s=TOMBSTONE_TTL_S)
+    naive = NaiveCache(clock, TOMBSTONE_TTL_S)
+    for op in ops:
+        before = clock.now_us
+        apply(cache, clock, op)
+        clock.now_us = before
+        apply(naive, clock, op)
+        for service_type in MANY_TYPES + ("absent",):
+            got = cache.lookup(service_type)
+            want = naive.lookup(service_type)
+            assert [(r.service_type, r.url) for r in got] == \
+                [(r.service_type, r.url) for r in want], (op, service_type)
+            assert got == want
+        assert cache.check() == [], op
+
+
+def test_check_reports_a_broken_type_index():
+    clock = Clock()
+    cache = ServiceCache(clock)
+    cache.store(ServiceRecord("clock", URLS[0], lifetime_s=10))
+    cache.store(ServiceRecord("clock", URLS[1], lifetime_s=10))
+    assert cache.check() == []
+    keys = cache._by_type["clock"]
+    first = next(iter(keys))
+    keys[first] = keys.pop(first)  # same keys, wrong order
+    assert any("type index" in p for p in cache.check())

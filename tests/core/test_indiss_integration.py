@@ -152,6 +152,24 @@ class TestCacheAnswering:
         # The cached answer is much faster than the translated one.
         assert second.first_latency_us < first.first_latency_us
 
+    def test_cache_answers_reuse_one_unfolded_stream_per_record(self, net):
+        """Each cache answer equals ``stream_from_record`` of the cached
+        record for the requester's SDP; a record replaced in the cache is
+        answered with the new record's stream."""
+        from repro.sdp.base import ServiceRecord
+        from repro.units.records import stream_from_record
+
+        indiss = Indiss(net.add_node("gw"), IndissConfig(units=("slp", "upnp")))
+        first = ServiceRecord("clock", "http://10.0.0.1/c", {"friendlyName": "A"}, 60, "upnp")
+        replies = [indiss._cached_reply(first, origin) for origin in ("slp", "jini", "slp")]
+        assert replies[0] == stream_from_record(first, "slp")
+        assert replies[1] == stream_from_record(first, "jini")
+        assert replies[2] == replies[0] and replies[2] is not replies[0]
+        indiss.cache.store(first)
+        second = ServiceRecord("clock", "http://10.0.0.1/c", {"friendlyName": "B"}, 60, "upnp")
+        indiss.cache.store(second)
+        assert indiss._cached_reply(second, "slp") == stream_from_record(second, "slp")
+
     def test_cache_not_used_when_disabled(self, net):
         client_node, service_node = net.add_node("client"), net.add_node("service")
         ua = UserAgent(client_node)

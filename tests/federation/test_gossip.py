@@ -10,9 +10,9 @@ from repro.federation import GatewayFleet
 GOSSIP_PERIOD_US = 200_000
 
 
-def build_fleet(member_count=2, gossip_period_us=GOSSIP_PERIOD_US):
+def build_fleet(member_count=2, gossip_period_us=GOSSIP_PERIOD_US, parse_once=True):
     """A backbone with ``member_count`` bridged, federated gateways."""
-    net = Network()
+    net = Network(parse_once=parse_once)
     backbone = net.default_segment
     instances = []
     for i in range(member_count):
@@ -378,3 +378,85 @@ class TestTombstones:
             expires_at_us=900_000_000,  # implied observed < 0 < deleted_at
         )
         assert len(cache) == 0, "stale copy resurrected after rejected merge"
+
+
+@pytest.mark.parametrize("payload", [b"[1]", b'"x"', b"3", b"null"])
+def test_gossip_json_that_is_not_an_object_is_a_decode_error(payload):
+    from repro.federation.gossip import GOSSIP_PORT
+    from repro.net import Endpoint
+
+    net, fleet, (a, b) = build_fleet()
+    prober = net.add_node("prober", segment=net.default_segment)
+    prober.udp.socket().sendto(payload, Endpoint(a.node.address, GOSSIP_PORT))
+    net.run(duration_us=100_000)
+    assert fleet.members[a.node.address].gossiper.stats.decode_errors == 1
+
+
+# -- parse-once receive path ------------------------------------------------------
+
+
+def _capture_gossip_frames(monkeypatch):
+    """Record (payload, decode hint) of every datagram sent to a gossip port."""
+    from repro.federation.gossip import GOSSIP_PORT
+    from repro.net.network import Network as NetworkClass
+
+    frames = []
+    send = NetworkClass.send_datagram
+
+    def capture(self, sender, source, destination, payload, decode_hint=None):
+        if destination.port == GOSSIP_PORT:
+            frames.append((payload, decode_hint))
+        return send(self, sender, source, destination, payload, decode_hint=decode_hint)
+
+    monkeypatch.setattr(NetworkClass, "send_datagram", capture)
+    return frames
+
+
+def test_every_gossip_frame_is_seeded_with_its_message(monkeypatch):
+    """Digests, deltas and bootstrap frames each carry the dict they encode,
+    so ``json.loads(payload) == hint`` — and the payload is exactly the
+    sorted-keys encoding of the hint, fragments and all."""
+    import json
+
+    from repro.federation.gossip import GOSSIP_MEMO_KEY
+    from repro.world import run_world
+    from repro.world.scenarios import SCENARIO_SPECS, SMALL_SCALE_OVERRIDES
+
+    frames = _capture_gossip_frames(monkeypatch)
+    name = "federated_campus"
+    run_world(SCENARIO_SPECS[name](**SMALL_SCALE_OVERRIDES[name]), seed=0)
+    net, fleet, (a, b, c) = build_fleet(member_count=3)
+    for i in range(5):
+        a.cache.store(record(f"svc{i}", f"http://10.0.0.{i + 1}/ctl"))
+    a.cache.remove_url("http://10.0.0.5/ctl")  # a tombstone to carry
+    net.run(duration_us=3 * GOSSIP_PERIOD_US)
+    fleet.members[c.node.address].gossiper.request_bootstrap()
+    net.run(duration_us=GOSSIP_PERIOD_US)
+    kinds = set()
+    for payload, hint in frames:
+        assert hint is not None and hint[0] == GOSSIP_MEMO_KEY
+        assert json.loads(payload) == hint[1]
+        assert json.dumps(hint[1], sort_keys=True).encode() == payload
+        kinds.add(hint[1]["kind"])
+    assert kinds == {"digest", "delta", "bootstrap_req", "bootstrap"}
+    assert any("tombstones" in hint[1] for _, hint in frames)
+
+
+@pytest.mark.parametrize("parse_once", [True, False])
+def test_receivers_decode_only_without_a_seed(monkeypatch, parse_once):
+    import repro.federation.gossip as gossip
+
+    calls = []
+    decode = gossip._decode_message
+    monkeypatch.setattr(
+        gossip, "_decode_message", lambda payload: calls.append(1) or decode(payload)
+    )
+    net, fleet, (a, b) = build_fleet(parse_once=parse_once)
+    a.cache.store(record())
+    net.run(duration_us=4 * GOSSIP_PERIOD_US)
+    received = sum(
+        m.gossiper.stats.digests_received + m.gossiper.stats.deltas_received
+        for m in fleet.members.values()
+    )
+    assert received > 0 and a.cache.digest() == b.cache.digest()
+    assert len(calls) == (0 if parse_once else received)

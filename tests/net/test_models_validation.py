@@ -97,6 +97,42 @@ class TestEphemeralPorts:
         sock.sendto(b"x", Endpoint("192.168.1.99", 9))
         assert sock.port == 49153
 
+    def test_udp_ephemeral_wraps_past_65535_and_skips_bound_ports(self):
+        from repro.net import NotBoundError
+
+        net = Network(latency=LatencyModel(jitter_us=0))
+        stack = net.add_node("n").udp
+        span = 65536 - stack.EPHEMERAL_BASE
+        first = [stack.ephemeral_port() for _ in range(3)]
+        assert first == [49152, 49153, 49154]  # numbering unchanged
+        held = [stack.socket().bind(port) for port in (49152, 49154)]
+        for _ in range(span - 3):
+            stack.ephemeral_port()
+        # The cursor wrapped: 49152 and 49154 are bound, 49153 is free.
+        assert stack.ephemeral_port() == 49153
+        assert stack.ephemeral_port() == 49155
+        for port in range(stack.EPHEMERAL_BASE, 65536):
+            if port not in (49152, 49154):
+                stack.socket().bind(port)
+        with pytest.raises(NotBoundError):
+            stack.ephemeral_port()
+        held[0].close()
+        assert stack.ephemeral_port() == 49152
+
+    def test_throwaway_reply_sockets_close_after_sending(self):
+        """A unit's fire-and-forget sends return their ports: 20000 of
+        them from one node neither leak sockets nor run out of ports."""
+        from repro.core.unit import UnitRuntime
+
+        net = Network(latency=LatencyModel(jitter_us=0))
+        node = net.add_node("n")
+        runtime = UnitRuntime(node)
+        ports_before = node.udp.bound_ports()
+        for _ in range(20_000):
+            runtime.send_udp_from_new_socket(b"x", Endpoint("192.168.1.99", 9))
+        assert node.udp.bound_ports() == ports_before
+        assert runtime.messages_sent == 20_000
+
     def test_tcp_ephemeral_monotonic(self):
         net = Network(latency=LatencyModel(jitter_us=0))
         node = net.add_node("n")

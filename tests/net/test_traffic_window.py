@@ -123,6 +123,57 @@ def test_coalesced_window_answers_like_the_sample_deque(ops, bandwidth):
             reference.bytes_in_window(newest, window)
 
 
+BOOKINGS = st.lists(
+    st.tuples(
+        st.integers(min_value=-RETENTION_US, max_value=RETENTION_US // 3),
+        st.integers(min_value=1, max_value=1500),
+    ),
+    max_size=80,
+)
+
+
+@given(
+    bookings=BOOKINGS,
+    in_order=st.booleans(),
+    queries=st.lists(
+        st.tuples(
+            st.integers(min_value=-RETENTION_US, max_value=2 * RETENTION_US),
+            st.integers(min_value=1, max_value=RETENTION_US),
+        ),
+        min_size=1, max_size=10,
+    ),
+)
+def test_window_sums_only_what_the_reference_sums(bookings, in_order, queries):
+    """``bytes_in_window`` walks back from the newest bucket and stops
+    early; on monotone and on out-of-order bookings, and for query times
+    before, at and after the newest booking, it answers like the
+    per-sample reference."""
+    monitor = TrafficMonitor(None, window_us=RETENTION_US)
+    reference = SampleDequeMonitor(None, RETENTION_US)
+    clock = newest = 0
+    for step, size in bookings:
+        if in_order:
+            step = abs(step)
+        clock = max(0, clock + step)
+        newest = max(newest, clock)
+        for target in (monitor, reference):
+            target.record(clock, 1900, size, "udp", False)
+        for offset, window in queries:
+            now = max(0, newest + offset)
+            assert monitor.bytes_in_window(now, window) == \
+                reference.bytes_in_window(now, window), (clock, now, window)
+
+
+def test_a_late_booking_behind_an_old_bucket_still_counts():
+    monitor = TrafficMonitor(None, window_us=RETENTION_US)
+    monitor.record(500, 1900, 7, "udp", False)
+    monitor.record(100, 1900, 5, "udp", False)  # booked at its send time
+    monitor.record(101, 1900, 3, "udp", False)
+    # The two newest buckets are older than the horizon; the first is not.
+    assert monitor.bytes_in_window(600, 300) == 7
+    assert monitor.bytes_in_window(600, 500) == 15
+
+
 def test_frames_in_one_microsecond_share_a_bucket():
     monitor = TrafficMonitor(10_000_000, window_us=RETENTION_US)
     for _ in range(5):

@@ -1,6 +1,8 @@
 """Unit tests for the UPnP parsers (SSDP + XML), composer, and exporter."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.composer import ComposeError
 from repro.core.events import (
@@ -21,6 +23,7 @@ from repro.core.events import (
 from repro.core.parser import NetworkMeta, ParseError
 from repro.core.session import TranslationSession
 from repro.net import Endpoint
+from repro.sdp.base import ServiceRecord
 from repro.sdp.upnp import (
     Headers,
     HttpResponse,
@@ -204,3 +207,62 @@ class TestExporter:
         http_get(client, f"http://{host.address}:4104/nope.xml", responses.append)
         net.run()
         assert responses[0].status == 404
+
+
+def _reference_description(record, session_id):
+    """The exporter's document as built before description templates."""
+    from repro.sdp.base import upnp_device_type
+    from repro.sdp.upnp import DeviceDescription, ServiceDescription
+
+    path = f"/translated/{record.service_type}-{session_id}/description.xml"
+    return DeviceDescription(
+        device_type=upnp_device_type(record.service_type),
+        friendly_name=record.attributes.get("friendlyName", f"INDISS {record.service_type}"),
+        udn=f"uuid:indiss-{record.service_type}-{session_id}",
+        manufacturer=record.attributes.get("manufacturer", "INDISS"),
+        model_name=record.attributes.get("modelName", record.service_type),
+        model_description=record.attributes.get("modelDescription", ""),
+        services=[
+            ServiceDescription(
+                service_type=f"urn:schemas-upnp-org:service:{record.service_type}:1",
+                service_id=f"urn:upnp-org:serviceId:{record.service_type}:1",
+                scpd_url=f"{path.rsplit('/', 1)[0]}/scpd.xml",
+                control_url=record.url,
+                event_sub_url=f"{path.rsplit('/', 1)[0]}/event",
+            )
+        ],
+    ).to_xml().encode("utf-8")
+
+
+_texts = st.lists(
+    st.sampled_from(list("ab<&>\"' 1-/:\x00") + ["\x00session\x00"]), max_size=8
+).map("".join)
+_exported_records = st.builds(
+    lambda service_type, url, attributes: ServiceRecord(
+        service_type=service_type, url=url, attributes=attributes, source_sdp="slp"
+    ),
+    st.sampled_from(["clock", "printer", "a-1"]) | _texts.filter(bool),
+    st.sampled_from(["service:clock:soap://192.168.1.5:4005/c", "http://x/1"]) | _texts,
+    st.dictionaries(
+        st.sampled_from(["friendlyName", "manufacturer", "modelName", "modelDescription"]),
+        _texts,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_exported_records, st.integers(0, 10**9)), max_size=12))
+def test_exported_descriptions_match_a_direct_render(exports):
+    """Render-once templates: every exported document — first export of a
+    record or a repeat under a new session id — is byte-identical to the
+    document built directly, whatever the record's text holds."""
+    from repro.core.unit import UnitRuntime
+    from repro.net import LatencyModel, Network
+    from repro.units.upnp_unit import DescriptionExporter
+
+    net = Network(latency=LatencyModel(jitter_us=0))
+    exporter = DescriptionExporter(UnitRuntime(net.add_node("indiss")), port=4104)
+    for record, session_id in exports * 3:
+        location = exporter.export(record, session_id)
+        path = location.split(":4104", 1)[1]
+        assert exporter._documents[path] == _reference_description(record, session_id)
