@@ -51,7 +51,7 @@ UnitFactory = Callable[["Indiss", UnitRuntime], Unit]
 
 #: Cache-answer reply streams one instance keeps (see
 #: :meth:`Indiss._cached_reply`).
-_REPLIES_MAX = 1024
+_REPLY_MEMO_SIZE = 1024
 
 
 @dataclass
@@ -159,7 +159,7 @@ class Indiss:
         self._obs_pid: int | None = None
         #: Cache-answer reply streams: (id(record), origin SDP) ->
         #: (record, stream); see :meth:`_cached_reply`.
-        self._replies: dict[tuple[int, str], tuple[ServiceRecord, tuple]] = {}
+        self._replies = node.network.memo(_REPLY_MEMO_SIZE)
         #: Application-layer listeners tracing every parsed stream
         #: (paper §2.3: upper layers "trace, in real time, SDP internal
         #: mechanisms").
@@ -489,10 +489,8 @@ class Indiss:
         key = (id(record), origin_sdp)
         entry = self._replies.get(key)
         if entry is None:
-            if len(self._replies) >= _REPLIES_MAX:
-                self._replies.clear()
-            entry = self._replies[key] = (
-                record, tuple(stream_from_record(record, origin_sdp))
+            entry = self._replies.remember(
+                key, (record, tuple(stream_from_record(record, origin_sdp)))
             )
         return list(entry[1])
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..net import Endpoint, MEMO_MISS, Node
+from ..net import Endpoint, MEMO_MISS, Memo, Node
 from ..sdp.upnp.http import Headers
 from ..sdp.upnp.httpclient import http_request
 from .composer import SdpComposer
@@ -167,9 +167,8 @@ class Unit:
         self.streams_dispatched = 0
         #: Cross-frame stream cache for monitored traffic (see
         #: :meth:`_parse_cross_frame`): (syntax, payload, source,
-        #: multicast) -> event stream.  Off (None) when the network runs
-        #: with ``parse_once=False``, which prices every receiver's parse.
-        self._streams: dict | None = {} if runtime.node.network.parse_once else None
+        #: multicast) -> event stream.
+        self._streams = runtime.node.network.memo(STREAM_CACHE_SIZE)
         #: Events of the cached streams, one instance per distinct event:
         #: a device's NOTIFYs repeat most of their events, so interning
         #: keeps the cache a small multiple of the distinct events.
@@ -223,7 +222,7 @@ class Unit:
         return self._parse_shared(raw, meta, None)
 
     def _parse_shared(
-        self, raw: bytes, meta: NetworkMeta, streams: dict | None
+        self, raw: bytes, meta: NetworkMeta, streams: Memo | None
     ) -> list[Event] | None:
         """:meth:`parse_raw`, and on a frame-memo miss the cross-frame
         stream cache ``streams`` when one is given."""
@@ -246,7 +245,7 @@ class Unit:
         return stream
 
     def _parse_cross_frame(
-        self, raw: bytes, meta: NetworkMeta, streams: dict
+        self, raw: bytes, meta: NetworkMeta, streams: Memo
     ) -> tuple[list[Event] | None, tuple | None]:
         """The stream of a monitored frame and its tuple form.
 
@@ -277,9 +276,7 @@ class Unit:
                 self._seen.clear()
             self._seen.add(sighting)
         elif not any(event.type is SDP_C_PARSER_SWITCH for event in frozen):
-            if len(streams) >= STREAM_CACHE_SIZE:
-                del streams[next(iter(streams))]  # oldest first
-            frozen = streams[key] = self._intern(frozen)
+            frozen = streams.remember(key, self._intern(frozen))
         return stream, frozen
 
     def _intern(self, stream: tuple) -> tuple:

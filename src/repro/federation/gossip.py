@@ -80,7 +80,7 @@ DEFAULT_MAX_DELTA_RECORDS = 32
 GOSSIP_MEMO_KEY = "gossip-json"
 
 #: Cache keys whose wire key and digest fragment a gossiper remembers.
-_KEY_PARTS_MAX = 4096
+_KEY_PARTS_MEMO_SIZE = 4096
 
 
 @dataclass
@@ -211,9 +211,9 @@ class CacheGossiper:
         #: digest fragment ``"wire key": expiry``).  NOTIFY refreshes move
         #: a few expiries per round, so a rebuilt digest re-renders only
         #: those keys' numbers.
-        self._key_parts: dict[tuple[str, str], tuple[str, str, object, str]] = {}
+        self._key_parts = indiss.node.network.memo(_KEY_PARTS_MEMO_SIZE)
         #: Per-record wire-form cache for deltas: key -> (expiry, wire dict).
-        self._wire_cache: dict[tuple[str, str], tuple[float, dict]] = {}
+        self._wire_cache = indiss.node.network.memo(4 * max_delta_records)
         self._socket = indiss.node.udp.socket().bind(port, reuse=True)
         self._socket.on_datagram(self._on_datagram)
         #: Virtual time this member finished applying a requested
@@ -288,8 +288,6 @@ class CacheGossiper:
         if not wire_util and cached is not None and cached[0] == cache.version:
             return cached[1], cached[2]
         parts = self._key_parts
-        if len(parts) >= _KEY_PARTS_MAX:
-            parts.clear()
         entries = {}
         fragments = {}
         for key, expires in cache.digest().items():
@@ -297,9 +295,9 @@ class CacheGossiper:
             if part is None:
                 wire_key = f"{key[0]}|{key[1]}"
                 prefix = f"{json.dumps(wire_key)}: "
-                part = parts[key] = (wire_key, prefix, expires, prefix + _number(expires))
+                part = parts.remember(key, (wire_key, prefix, expires, prefix + _number(expires)))
             elif part[2] is not expires:
-                part = parts[key] = (*part[:2], expires, part[1] + _number(expires))
+                part = parts.remember(key, (*part[:2], expires, part[1] + _number(expires)))
             entries[part[0]] = expires
             fragments[part[0]] = part[3]
         tombstones = {
@@ -549,9 +547,7 @@ class CacheGossiper:
         if cached is not None and cached[0] == entry.expires_at_us:
             return cached[1]
         wire = _record_to_wire(key, entry)
-        if len(self._wire_cache) > 4 * self.max_delta_records:
-            self._wire_cache.clear()  # bound memory under heavy churn
-        self._wire_cache[key] = (entry.expires_at_us, wire)
+        self._wire_cache.remember(key, (entry.expires_at_us, wire))
         self.stats.record_encodes += 1
         return wire
 

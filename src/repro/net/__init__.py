@@ -50,6 +50,7 @@ from .udp import (
     Datagram,
     FrameMemo,
     MEMO_MISS,
+    Memo,
     NULL_MEMO,
     NullFrameMemo,
     ParseCounter,
@@ -72,6 +73,7 @@ __all__ = [
     "Datagram",
     "FrameMemo",
     "MEMO_MISS",
+    "Memo",
     "NULL_MEMO",
     "NullFrameMemo",
     "ParseCounter",

@@ -42,7 +42,7 @@ from .partition import PartitionMap
 from .segment import Bridge, DEFAULT_LINK_LATENCY_US, Link, Router, Segment
 from .simclock import Scheduler
 from .traffic import TrafficMonitor
-from .udp import Datagram, NULL_MEMO, ParseCounter
+from .udp import Datagram, Memo, NULL_MEMO, ParseCounter
 
 if TYPE_CHECKING:  # pragma: no cover
     from .parallel import ShardedScheduler
@@ -110,9 +110,10 @@ class Network:
         self.route_cache_hits = 0
         self.route_cache_misses = 0
         self.route_cache_invalidations = 0
-        #: ``False`` attaches the no-op :data:`NULL_MEMO` to every frame,
-        #: disabling all decode sharing and send-side seeding — the A/B
-        #: knob the benchmarks price the parse-once machinery with.
+        #: ``False`` attaches the no-op :data:`NULL_MEMO` to every frame and
+        #: makes every :meth:`memo` store nothing, disabling all decode
+        #: sharing, send-side seeding and receiver caches — the A/B knob
+        #: the benchmarks price the parse-once machinery with.
         self.parse_once = parse_once
         #: Per-protocol decode accounting (protocol id -> counter); every
         #: memo-aware receive path registers its decode/share here through
@@ -803,6 +804,11 @@ class Network:
             counter = ParseCounter(count_seeds=self.parse_once)
             self.parse_stats[protocol] = counter
         return counter
+
+    def memo(self, bound: int) -> Memo:
+        """A receiver cache of up to ``bound`` entries; with ``parse_once``
+        off it stores nothing, so every cache in the world is off too."""
+        return Memo(bound if self.parse_once else 0)
 
     # -- datagram delivery -----------------------------------------------------
 

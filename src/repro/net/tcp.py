@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .addressing import Endpoint, validate_port
-from .errors import ConnectionRefusedError, PortInUseError, SocketClosedError
+from .errors import ConnectionRefusedError, NotBoundError, PortInUseError, SocketClosedError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
@@ -205,9 +205,10 @@ class TcpStack:
     def __init__(self, node: "Node"):
         self._node = node
         self._listeners: dict[int, TcpListener] = {}
-        #: Every connection this node has ever opened or accepted, for
-        #: crash-stop teardown (see :meth:`crash`).
+        #: Connections this node opened or accepted, for crash-stop
+        #: teardown (see :meth:`crash`).
         self._connections: list[TcpConnection] = []
+        #: Ephemeral ports handed out so far, plus :attr:`EPHEMERAL_BASE`.
         self._next_ephemeral = self.EPHEMERAL_BASE
 
     def listen(self, port: int, on_connection: ConnectHandler) -> TcpListener:
@@ -242,9 +243,20 @@ class TcpStack:
         return listener
 
     def ephemeral_port(self) -> int:
-        port = self._next_ephemeral
-        self._next_ephemeral += 1
-        return port
+        """The next port from a cursor that wraps from 65535 back to
+        :attr:`EPHEMERAL_BASE`.  After the first wrap it skips ports this
+        node's open connections hold, and raises only when all are held."""
+        span = 65536 - self.EPHEMERAL_BASE
+        held = ()
+        if self._next_ephemeral > 65535:  # wrapped: forget closed connections
+            self._connections = [c for c in self._connections if not c.closed]
+            held = {c.local.port for c in self._connections}
+        for _ in range(span):
+            port = self.EPHEMERAL_BASE + (self._next_ephemeral - self.EPHEMERAL_BASE) % span
+            self._next_ephemeral += 1
+            if port not in held:
+                return port
+        raise NotBoundError("ephemeral port space exhausted")
 
     def connect(
         self,

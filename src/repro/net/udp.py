@@ -95,6 +95,33 @@ class NullFrameMemo(FrameMemo):
 NULL_MEMO = NullFrameMemo()
 
 
+class Memo(dict):
+    """A receiver-side cache that keeps its newest ``bound`` entries.
+
+    Every cache that remembers repeated work across frames (a device's
+    M-SEARCH answers, a unit's monitored streams, an SLP sender's encoded
+    bodies, gossip's wire keys) is one of these, handed out by
+    :meth:`repro.net.network.Network.memo`; ``parse_once=False`` hands out
+    ``bound == 0`` memos, which store nothing.  Reads are plain ``dict``
+    reads; each caller keeps its own validity check on the value it reads.
+    """
+
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+
+    def remember(self, key, value):
+        """Store ``value`` under ``key``, evicting the oldest entry when the
+        memo is full, and return ``value``."""
+        if key not in self and len(self) >= self.bound:
+            if not self.bound:
+                return value
+            del self[next(iter(self))]
+        self[key] = value
+        return value
+
+
 class ParseCounter:
     """Per-protocol decode accounting, one observation per (receiver, frame).
 
@@ -459,6 +486,7 @@ __all__ = [
     "UdpStack",
     "Datagram",
     "FrameMemo",
+    "Memo",
     "NullFrameMemo",
     "NULL_MEMO",
     "ParseCounter",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
-from ...net import Endpoint, MEMO_MISS, Node
+from ...net import Endpoint, Node, shared_decode
 from .attributes import parse_attributes, serialize_attributes
 from .constants import (
     DA_SERVICE_TYPE,
@@ -34,7 +34,6 @@ from .constants import (
     SLP_MULTICAST_GROUP,
     SLP_PORT,
 )
-from .errors import SlpDecodeError
 from .messages import (
     AttrRply,
     AttrRqst,
@@ -53,7 +52,9 @@ from .messages import (
 )
 from .predicate import matches as predicate_matches
 from .service_type import ServiceType
-from .wire import WIRE_MEMO_KEY, decode, encode, peek_function_id
+from .wire import (
+    ENCODE_MEMO_SIZE, WIRE_MEMO_KEY, decode_or_none, encode, peek_function_id,
+)
 
 
 @dataclass
@@ -190,6 +191,8 @@ class _SlpEndpointBase:
         self.decode_errors = 0
         self._parse_counter = node.network.parse_counter("slp")
         self._multicast = Endpoint(self.config.multicast_group, self.config.port)
+        #: This endpoint's encode-once pieces (see :func:`wire.encode`).
+        self._encode_memo = node.network.memo(ENCODE_MEMO_SIZE)
 
     @property
     def address(self) -> str:
@@ -203,30 +206,21 @@ class _SlpEndpointBase:
         # sender's message instead of decoding the wire bytes back.
         self._parse_counter.note_seed()
         self._socket.sendto(
-            encode(message), destination,
-            decode_hint=(self._WIRE_MEMO_KEY, message),
+            encode(message, self._encode_memo), destination,
+            decode_hint=(WIRE_MEMO_KEY, message),
         )
 
     def _send_multicast(self, message: SlpMessage) -> None:
         self._send(message, self._multicast)
 
-    #: Per-frame memo key for the shared wire decode (all SLP endpoints on
-    #: a segment hear the same multicast frame; the first decodes, the
-    #: rest reuse — messages are treated as read-only by every handler).
-    _WIRE_MEMO_KEY = WIRE_MEMO_KEY
-
     def _on_datagram(self, datagram) -> None:
-        memo = datagram.ensure_memo()
-        message = memo.lookup(self._WIRE_MEMO_KEY, datagram.payload)
-        if message is MEMO_MISS:
-            try:
-                message = decode(datagram.payload)
-            except SlpDecodeError:
-                message = None
-            self._parse_counter.decoded += 1
-            memo.store(self._WIRE_MEMO_KEY, datagram.payload, message)
-        else:
-            self._parse_counter.shared += 1
+        # All SLP endpoints on a segment hear the same multicast frame: the
+        # first decodes, the rest reuse (handlers treat messages as
+        # read-only).
+        message = shared_decode(
+            datagram.ensure_memo(), WIRE_MEMO_KEY, datagram.payload,
+            decode_or_none, self._parse_counter,
+        )
         if message is None:
             self.decode_errors += 1
             return
@@ -607,13 +601,7 @@ class DirectoryAgent(_SlpEndpointBase):
         self._advert_task.stop()
 
     def send_advert(self) -> None:
-        advert = DAAdvert(
-            header=Header(FunctionId.DAADVERT),
-            boot_timestamp=self.boot_timestamp,
-            url=self.url,
-            scopes=self.config.scopes,
-        )
-        self._send_multicast(advert)
+        self.send_advert_to(self._multicast)
 
     def _handle(self, message: SlpMessage, source: Endpoint, was_multicast: bool) -> None:
         if isinstance(message, SrvReg):

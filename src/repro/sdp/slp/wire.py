@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import struct
 
+from ...net import Memo
 from .constants import (
     ErrorCode,
-    Flags,
     FunctionId,
     RESERVED_FLAG_MASK,
     SLP_VERSION,
@@ -171,67 +171,53 @@ def _encode_header(writer: _Writer, header: Header, body: bytes) -> bytes:
 WIRE_MEMO_KEY = "slp-wire"
 
 
-#: Entries each encode-once cache holds before its oldest entry is evicted.
-_CACHE_MAX = 1024
-
-#: Body bytes of recently encoded SrvRqst/SrvRply messages, keyed by the
-#: message type and its body fields; every entry came from a successful
-#: reference encode.
-_BODIES: dict[tuple, bytes] = {}
-
-#: ``(bytes before the XID, language part)`` of a header, keyed by
-#: ``(function_id, flags, language_tag, body length)``.
-_PREFIXES: dict[tuple, tuple[bytes, bytes]] = {}
+#: Entries a sender's encode memo holds (see :func:`encode`).
+ENCODE_MEMO_SIZE = 64
 
 #: Packs the XID through ``struct`` as the reference does, so an XID of
 #: the wrong type fails with the same exception on both paths.
 _XID = struct.Struct("!H")
 
 
-def _remember(cache: dict, key: tuple, value) -> None:
-    if key not in cache and len(cache) >= _CACHE_MAX:
-        del cache[next(iter(cache))]
-    cache[key] = value
-
-
-def encode(message: SlpMessage) -> bytes:
+def encode(message: SlpMessage, memo: Memo | None = None) -> bytes:
     """Render any SLP message dataclass to its binary wire form.
 
+    With a sender's ``memo`` (from ``Network.memo(ENCODE_MEMO_SIZE)``),
     ``SrvRqst`` and ``SrvRply`` are encoded once per distinct body: a
     repeat differs only in its XID, so the frame is spliced together from
-    the cached header prefix, the XID, the language tag and the cached
-    body.  Caches fill only from a successful :func:`_encode_reference`
-    run, so a message it rejects is rejected here too; every other type
-    goes through the reference encoder directly.
+    the remembered header prefix, the XID, the language tag and the
+    remembered body.  Body keys start with the message class and prefix
+    keys with the function id, so one memo holds both.  The memo fills
+    only from a successful :func:`_encode_reference` run, so a message it
+    rejects is rejected here too; every other type, and every message
+    sent without a memo, goes through the reference encoder directly.
     """
     cls = type(message)
-    if cls is SrvRqst:
+    if cls is SrvRqst and memo is not None:
         key = (cls, message.prlist, message.service_type, message.scopes,
                message.predicate, message.spi)
-    elif cls is SrvRply:
+    elif cls is SrvRply and memo is not None:
         key = (cls, message.error_code, message.url_entries)
     else:
         return _encode_reference(message)
     header = message.header
     xid = header.xid
     try:
-        body = _BODIES.get(key)
+        body = memo.get(key)
     except TypeError:  # an unhashable field (a list of scopes, say)
         return _encode_reference(message)
     if body is not None and 0 <= xid <= 0xFFFF:
-        parts = _PREFIXES.get(
+        parts = memo.get(
             (header.function_id, header.flags, header.language_tag, len(body))
         )
         if parts is not None:
             return parts[0] + _XID.pack(xid) + parts[1] + body
     frame = _encode_reference(message)
     # Split the fresh frame at the XID (byte 10) and the end of the
-    # language tag to seed both caches.
+    # language tag to remember both pieces.
     lang_end = 14 + (frame[12] << 8 | frame[13])
-    body = frame[lang_end:]
-    _remember(_BODIES, key, body)
-    _remember(
-        _PREFIXES,
+    body = memo.remember(key, frame[lang_end:])
+    memo.remember(
         (header.function_id, header.flags, header.language_tag, len(body)),
         (frame[:10], frame[12:lang_end]),
     )
@@ -450,16 +436,21 @@ def decode(data: bytes) -> SlpMessage:
     raise SlpDecodeError(f"unhandled function id {fid}")  # pragma: no cover
 
 
-def is_multicast_request(message: SlpMessage) -> bool:
-    """True when the REQUEST MCAST header flag is set."""
-    return bool(message.header.flags & Flags.REQUEST_MCAST)
+def decode_or_none(data: bytes) -> SlpMessage | None:
+    """:func:`decode`, or ``None`` for bytes that are not an SLP message:
+    the codec shape :func:`~repro.net.shared_decode` takes."""
+    try:
+        return decode(data)
+    except SlpDecodeError:
+        return None
 
 
 __all__ = [
     "encode",
     "decode",
     "decode_header",
-    "is_multicast_request",
+    "decode_or_none",
+    "ENCODE_MEMO_SIZE",
     "peek_function_id",
     "WIRE_MEMO_KEY",
 ]

@@ -53,7 +53,7 @@ from .ssdp import (
 ActionHandler = Callable[[SoapCall], dict]
 
 #: Distinct search targets one device remembers answers for.
-_MAX_ANSWERS = 256
+_ANSWER_MEMO_SIZE = 256
 
 
 @dataclass
@@ -123,7 +123,7 @@ class UpnpDevice:
         #: matches that ST.  Control points re-search the same few types,
         #: so every repeat is one dict lookup instead of a matching scan.
         self._answers_key: list[str] = []
-        self._answers: dict[str, tuple[bytes, object] | None] = {}
+        self._answers = node.network.memo(_ANSWER_MEMO_SIZE)
         self._parse_counter = node.network.parse_counter("upnp")
 
         self._ssdp_socket = node.udp.socket().bind(SSDP_PORT, reuse=True)
@@ -250,7 +250,7 @@ class UpnpDevice:
         targets = self.notification_targets()
         if targets != self._answers_key:
             self._answers_key = targets
-            self._answers = {}
+            self._answers.clear()
         answers = self._answers
         if st in answers:
             return answers[st]
@@ -266,10 +266,7 @@ class UpnpDevice:
                 usn=self.usn_for(target),
                 location=self.location,
             )
-        if len(answers) >= _MAX_ANSWERS:
-            answers.clear()  # bound the table against arbitrary STs
-        answers[st] = answer
-        return answer
+        return answers.remember(st, answer)
 
     # -- HTTP server ---------------------------------------------------------------
 

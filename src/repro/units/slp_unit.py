@@ -47,9 +47,9 @@ from ..core.fsm import StateMachine, StateMachineDefinition
 from ..core.parser import NetworkMeta, ParseError, SdpParser
 from ..core.session import TranslationSession
 from ..core.unit import Unit, UnitRuntime
-from ..net import Endpoint, MEMO_MISS
+from ..net import Endpoint, Memo, shared_decode
 from ..sdp.base import normalize_service_type, slp_service_type
-from ..sdp.slp.wire import WIRE_MEMO_KEY
+from ..sdp.slp.wire import ENCODE_MEMO_SIZE, WIRE_MEMO_KEY, decode_or_none
 from ..sdp.slp import (
     AttrRply,
     AttrRqst,
@@ -61,13 +61,11 @@ from ..sdp.slp import (
     SAAdvert,
     SLP_MULTICAST_GROUP,
     SLP_PORT,
-    SlpDecodeError,
     SrvDeReg,
     SrvReg,
     SrvRply,
     SrvRqst,
     UrlEntry,
-    decode,
     encode,
     parse_attributes,
     serialize_attributes,
@@ -113,26 +111,12 @@ class SlpEventParser(SdpParser):
         # senders seed it at send time, and any native endpoint that heard
         # the frame first stored its decode.  Only truly foreign bytes are
         # decoded here.
-        memo = getattr(meta, "memo", None)
-        counter = self.parse_counter
-        message = MEMO_MISS if memo is None else memo.lookup(WIRE_MEMO_KEY, raw)
+        message = shared_decode(
+            getattr(meta, "memo", None), WIRE_MEMO_KEY, raw, decode_or_none,
+            self.parse_counter,
+        )
         if message is None:
-            if counter is not None:
-                counter.shared += 1
-            raise ParseError("not an SLP message (shared negative decode)")
-        if message is MEMO_MISS:
-            if counter is not None:
-                counter.decoded += 1
-            try:
-                message = decode(raw)
-            except SlpDecodeError as exc:
-                if memo is not None:
-                    memo.store(WIRE_MEMO_KEY, raw, None)
-                raise ParseError(str(exc)) from exc
-            if memo is not None:
-                memo.store(WIRE_MEMO_KEY, raw, message)
-        elif counter is not None:
-            counter.shared += 1
+            raise ParseError("not an SLP message")
 
         events: list[Event] = []
         events.append(
@@ -252,6 +236,12 @@ class SlpEventComposer(SdpComposer):
          SDP_REG_SCOPE}
     )
 
+    def __init__(self, memo: Memo | None = None) -> None:
+        super().__init__()
+        #: Encode-once pieces for the requests and replies this composer
+        #: renders (see :func:`repro.sdp.slp.wire.encode`).
+        self._memo = memo
+
     def compose(self, events: list[Event], session: TranslationSession) -> list[OutboundMessage]:
         kept = self.filter_stream(events)
         kinds = {event.type for event in kept}
@@ -285,7 +275,7 @@ class SlpEventComposer(SdpComposer):
         )
         self.messages_composed += 1
         return OutboundMessage(
-            payload=encode(request),
+            payload=encode(request, self._memo),
             destination=Endpoint(SLP_MULTICAST_GROUP, SLP_PORT),
             label="srvrqst",
             decode_hint=(WIRE_MEMO_KEY, request),
@@ -318,7 +308,7 @@ class SlpEventComposer(SdpComposer):
             raise ComposeError("session has no requester to answer")
         self.messages_composed += 1
         return OutboundMessage(
-            payload=encode(reply),
+            payload=encode(reply, self._memo),
             destination=session.requester,
             label="srvrply",
             decode_hint=(WIRE_MEMO_KEY, reply),
@@ -406,7 +396,7 @@ class SlpUnit(Unit):
         super().__init__(
             runtime,
             parsers={"slp": SlpEventParser()},
-            composer=SlpEventComposer(),
+            composer=SlpEventComposer(runtime.node.network.memo(ENCODE_MEMO_SIZE)),
             fsm_definition=_target_fsm(),
             default_syntax="slp",
         )
@@ -433,10 +423,7 @@ class SlpUnit(Unit):
         # SLP header — so every non-DAAdvert frame (all of the hot path)
         # skips straight to the shared parse instead of a full wire decode.
         if len(raw) > 1 and raw[1] == int(FunctionId.DAADVERT):
-            try:
-                message = decode(raw)
-            except SlpDecodeError:
-                message = None
+            message = decode_or_none(raw)
             if message is not None and message.header.function_id is FunctionId.DAADVERT:
                 if meta.source is not None:
                     self.known_da = Endpoint(meta.source.host, SLP_PORT)
@@ -482,19 +469,19 @@ class SlpUnit(Unit):
         xid = self._next_xid
         session.vars["native_xid"] = xid
         self._sessions_by_xid[xid] = session
-        messages = self.composer.compose(session.request_stream, _with_xid(session, xid))
+        messages = self.composer.compose(session.request_stream, session)
         session.log(f"slp-unit: composed native SrvRqst xid={xid}")
+        self.runtime.schedule(
+            self.runtime.timings.compose_us,
+            lambda: self._send_all(messages, self.runtime.send_udp),
+        )
 
-        def transmit() -> None:
-            for message in messages:
-                if message.decode_hint is not None:
-                    self.parse_counter.note_seed()
-                self.runtime.send_udp(
-                    message.payload, message.destination,
-                    decode_hint=message.decode_hint,
-                )
-
-        self.runtime.schedule(self.runtime.timings.compose_us, transmit)
+    def _send_all(self, messages, send) -> None:
+        """Send composed ``messages`` through ``send``, noting each seed."""
+        for message in messages:
+            if message.decode_hint is not None:
+                self.parse_counter.note_seed()
+            send(message.payload, message.destination, decode_hint=message.decode_hint)
 
     def _send_attr_request(self, session: TranslationSession) -> None:
         """Recursive request: fetch the attributes behind the reply URL."""
@@ -620,17 +607,10 @@ class SlpUnit(Unit):
     def compose_reply(self, stream: list[Event], session: TranslationSession) -> None:
         messages = self.composer.compose(stream, session)
         session.log("slp-unit: composed SrvRply to requester")
-
-        def transmit() -> None:
-            for message in messages:
-                if message.decode_hint is not None:
-                    self.parse_counter.note_seed()
-                self.runtime.send_udp_from_new_socket(
-                    message.payload, message.destination,
-                    decode_hint=message.decode_hint,
-                )
-
-        self.runtime.schedule(self.runtime.timings.compose_us, transmit)
+        self.runtime.schedule(
+            self.runtime.timings.compose_us,
+            lambda: self._send_all(messages, self.runtime.send_udp_from_new_socket),
+        )
 
     # -- active advertisement (Fig. 6 bottom) -----------------------------------
 
@@ -643,12 +623,10 @@ class SlpUnit(Unit):
         for name, value in record.attributes.items():
             events.append(Event.of(SDP_RES_ATTR, name=name, value=value))
         session = TranslationSession(origin_sdp="slp", requester=None)
-        for message in self.composer.compose(bracket(events, sdp="slp"), session):
-            if message.decode_hint is not None:
-                self.parse_counter.note_seed()
-            self.runtime.send_udp_from_new_socket(
-                message.payload, message.destination, decode_hint=message.decode_hint
-            )
+        self._send_all(
+            self.composer.compose(bracket(events, sdp="slp"), session),
+            self.runtime.send_udp_from_new_socket,
+        )
         if self.known_da is not None:
             self._register_with_da(record)
 
@@ -668,11 +646,6 @@ class SlpUnit(Unit):
             encode(registration), self.known_da,
             decode_hint=(WIRE_MEMO_KEY, registration),
         )
-
-
-def _with_xid(session: TranslationSession, xid: int) -> TranslationSession:
-    session.vars["native_xid"] = xid
-    return session
 
 
 def _first_ttl(stream: list[Event]) -> int | None:

@@ -50,7 +50,7 @@ from ..core.fsm import StateMachine, StateMachineDefinition
 from ..core.parser import NetworkMeta, ParseError, SdpParser
 from ..core.session import TranslationSession
 from ..core.unit import Unit, UnitRuntime
-from ..net import Endpoint
+from ..net import Endpoint, Memo
 from ..sdp.base import ServiceRecord, normalize_service_type, upnp_device_type
 from ..sdp.upnp import (
     DescriptionError,
@@ -301,13 +301,9 @@ class UpnpEventComposer(SdpComposer):
         )
 
 
-#: Stands in for the session id when an exported description is rendered
-#: as a template (see :meth:`DescriptionExporter.export`).
-_SESSION_MARK = "\x00session\x00"
-_ONCE = "once"
-_NEVER = "never"
-#: Distinct records one exporter keeps a description template for.
-_TEMPLATES_MAX = 256
+#: Per-session documents one exporter keeps serving: the newest ones,
+#: since a client fetches a LOCATION right after the answer carrying it.
+EXPORTED_DOCUMENTS = 64
 
 
 class DescriptionExporter:
@@ -317,13 +313,12 @@ class DescriptionExporter:
     def __init__(self, runtime: UnitRuntime, port: int = 4104):
         self.runtime = runtime
         self.port = port
-        self._documents: dict[str, bytes] = {}
-        #: Render-once descriptions, keyed by the record fields a
-        #: document shows: the document split around the session id, or
-        #: ``_ONCE`` (exported once so far) or ``_NEVER`` (splitting does
-        #: not reproduce the direct render).  A cache answer exports the
-        #: same record under a new session id each time.
-        self._templates: dict[tuple, list[bytes] | str] = {}
+        #: Served documents by path.  A plain memo, not ``Network.memo``:
+        #: serving must not switch off with ``parse_once``.
+        self._documents = Memo(EXPORTED_DOCUMENTS)
+        #: Documents behind advertised records, whose NOTIFYs repeat one
+        #: LOCATION for the whole run (see :meth:`export_advertised`).
+        self._advertised: dict[str, bytes] = {}
         self._listener = runtime.node.tcp.listen(port, self._on_connection)
         self.serves = 0
 
@@ -332,36 +327,20 @@ class DescriptionExporter:
 
     def export(self, record: ServiceRecord, session_id: int) -> str:
         """Publish a description for ``record``; returns its LOCATION URL."""
+        return self._publish(self._documents.remember, record, session_id)
+
+    def export_advertised(self, record: ServiceRecord, session_id: int) -> str:
+        """:meth:`export`, served for the rest of the run."""
+        return self._publish(self._advertised.__setitem__, record, session_id)
+
+    def _publish(self, store, record: ServiceRecord, session_id: int) -> str:
         path = f"/translated/{record.service_type}-{session_id}/description.xml"
-        attributes = record.attributes
-        key = (
-            record.service_type, record.url, attributes.get("friendlyName"),
-            attributes.get("manufacturer"), attributes.get("modelName"),
-            attributes.get("modelDescription"),
-        )
-        session = str(session_id).encode()
-        template = self._templates.get(key)
-        if isinstance(template, list):
-            document = session.join(template)
-        else:
-            document = self._render(record, str(session_id))
-            # A template pays off from the third export on; a record
-            # exported once (a fresh world's one translation) never
-            # renders twice.
-            if template is None:
-                if len(self._templates) >= _TEMPLATES_MAX:
-                    self._templates.clear()
-                self._templates[key] = _ONCE
-            elif template is _ONCE:
-                pieces = self._render(record, _SESSION_MARK).split(_SESSION_MARK.encode())
-                self._templates[key] = pieces if session.join(pieces) == document else _NEVER
-        self._documents[path] = document
+        store(path, self._render(record, path, str(session_id)))
         return f"http://{self.runtime.address}:{self.port}{path}"
 
     @staticmethod
-    def _render(record: ServiceRecord, session: str) -> bytes:
-        """The description document of ``record`` exported under ``session``."""
-        path = f"/translated/{record.service_type}-{session}/description.xml"
+    def _render(record: ServiceRecord, path: str, session: str) -> bytes:
+        """The description document of ``record`` exported at ``path``."""
         description = DeviceDescription(
             device_type=upnp_device_type(record.service_type),
             friendly_name=record.attributes.get(
@@ -390,7 +369,8 @@ class DescriptionExporter:
             for message in parser.feed(chunk):
                 if not isinstance(message, HttpRequest):
                     continue
-                document = self._documents.get(message.target.split("?")[0])
+                path = message.target.split("?")[0]
+                document = self._documents.get(path) or self._advertised.get(path)
                 if document is None:
                     connection.send(HttpResponse(status=404, reason="Not Found").render())
                     continue
@@ -715,7 +695,7 @@ class UpnpUnit(Unit):
             session = TranslationSession(  # the export path needs a unique id
                 "upnp", None, session_id=node.network.session_id_source(node)()
             )
-            session.vars["export_location"] = self.exporter.export(
+            session.vars["export_location"] = self.exporter.export_advertised(
                 record, session.session_id
             )
             session.vars["st"] = upnp_device_type(record.service_type or "service")

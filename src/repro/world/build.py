@@ -177,16 +177,16 @@ class World:
         spec: WorldSpec,
         seed: int = 0,
         costs=None,
-        capture: Optional[bool] = None,
-        parse_once: Optional[bool] = None,
+        capture: bool = False,
+        parse_once: bool = True,
         engine: str = "single",
         record=False,
     ) -> "World":
         """Validate ``spec`` and compile its elements into a live world.
 
         The workload has not run yet — call :meth:`run_workload` (or the
-        one-shot :func:`run_world`).  ``capture``/``parse_once`` override
-        the spec's settings for A/B runs.
+        one-shot :func:`run_world`).  ``capture``/``parse_once`` are the
+        network's switches (see :class:`~repro.net.Network`).
 
         ``record`` turns on the flight recorder: pass ``True`` for a
         fresh :class:`~repro.obs.Recording` (metrics + trace), or an
@@ -221,8 +221,8 @@ class World:
         kwargs = dict(
             latency=costs.latency_model(seed),
             subnet=spec.subnet if spec.subnet is not None else "192.168.1",
-            capture=spec.capture if capture is None else capture,
-            parse_once=spec.parse_once if parse_once is None else parse_once,
+            capture=capture,
+            parse_once=parse_once,
         )
         if engine == "partitioned":
             shards = ShardedScheduler(pmap)
@@ -1143,8 +1143,8 @@ def run_world(
     spec: WorldSpec,
     seed: int = 0,
     costs=None,
-    capture: Optional[bool] = None,
-    parse_once: Optional[bool] = None,
+    capture: bool = False,
+    parse_once: bool = True,
     engine: str = "single",
     record=False,
 ) -> ScenarioOutcome:

@@ -949,8 +949,6 @@ class WorldSpec:
     description: str = ""
     #: Default segment's subnet (``Network(subnet=...)``).
     subnet: Optional[str] = None
-    capture: bool = False
-    parse_once: bool = True
     #: Declares this world district-partitionable: ``World.build`` freezes
     #: the spec's partition map even under the single-threaded engine, so
     #: cross-district delivery takes the deterministic (jitter-free) path

@@ -139,13 +139,13 @@ class TestSharedNativeDecode:
         import repro.sdp.slp.agent as agent_module
 
         calls = {"n": 0}
-        real_decode = agent_module.decode
+        real_decode = agent_module.decode_or_none
 
         def counting_decode(payload):
             calls["n"] += 1
             return real_decode(payload)
 
-        monkeypatch.setattr(agent_module, "decode", counting_decode)
+        monkeypatch.setattr(agent_module, "decode_or_none", counting_decode)
 
         net = Network()
         from repro.sdp.slp import (

@@ -90,7 +90,7 @@ def observations(unit):
 def test_cached_streams_equal_fresh_parses(ops):
     cached = dict(zip(("upnp", "slp"), make_units(parse_once=True)))
     fresh = dict(zip(("upnp", "slp"), make_units(parse_once=False)))
-    assert fresh["upnp"]._streams is None
+    assert fresh["upnp"]._streams.bound == 0
     for op in ops:
         if op[0] == "base_url":
             for units in (cached, fresh):

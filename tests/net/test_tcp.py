@@ -199,3 +199,40 @@ def test_byte_counters():
     conns[0].send(b"12345")
     net.run()
     assert conns[0].bytes_sent == 5
+
+
+def test_ephemeral_ports_wrap_and_skip_held_ports():
+    net = make_net()
+    client, server = net.add_node("c"), net.add_node("s")
+    server.tcp.listen(80, lambda conn: None)
+    held = []
+    client.tcp.connect(Endpoint(server.address, 80), held.append)
+    net.run()
+    base = client.tcp.EPHEMERAL_BASE
+    assert held[0].local.port == base
+    for expected in range(base + 1, 65536):
+        assert client.tcp.ephemeral_port() == expected
+    # Wrapped: the open connection still holds the base port.
+    opened = []
+    client.tcp.connect(Endpoint(server.address, 80), opened.append)
+    net.run()
+    assert opened[0].local.port == base + 1
+    held[0].close()
+    net.run()
+    for expected in range(base + 2, 65536):
+        assert client.tcp.ephemeral_port() == expected
+    assert client.tcp.ephemeral_port() == base  # released by the close
+
+
+def test_ephemeral_ports_exhausted_only_when_all_are_held():
+    from repro.net import NotBoundError
+    from repro.net.tcp import TcpConnection
+
+    node = make_net().add_node("c")
+    stack = node.tcp
+    ports = [stack.ephemeral_port() for _ in range(65536 - stack.EPHEMERAL_BASE)]
+    remote = Endpoint("192.168.1.200", 80)
+    for port in ports:
+        TcpConnection(node, Endpoint(node.address, port), remote)
+    with pytest.raises(NotBoundError):
+        stack.ephemeral_port()

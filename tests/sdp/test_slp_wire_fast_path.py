@@ -1,10 +1,11 @@
 """The SLP codec's encode-once fast path.
 
 ``wire._encode_reference`` (the ``_Writer`` encoder) and ``wire.decode``
-are the reference codec.  ``wire.encode`` caches SrvRqst/SrvRply bodies
-and header prefixes and splices the XID in; it must produce the
-reference bytes exactly, for every message type, on a cold cache and on a
-warm one, and reject exactly what the reference rejects.
+are the reference codec.  ``wire.encode(message, memo)`` remembers
+SrvRqst/SrvRply bodies and header prefixes in the sender's memo and
+splices the XID in; it must produce the reference bytes exactly, for every
+message type, on a cold memo and on a warm one, and reject exactly what
+the reference rejects.
 """
 
 from dataclasses import replace
@@ -32,6 +33,7 @@ from repro.sdp.slp import (
     decode,
     encode,
 )
+from repro.net import Memo
 from repro.sdp.slp import wire
 from repro.sdp.slp.errors import SlpEncodeError
 from repro.sdp.slp.messages import MESSAGE_TYPES
@@ -91,10 +93,21 @@ def _with_xid(message, xid):
     return replace(message, header=replace(message.header, xid=xid))
 
 
+#: One sender's memo, kept warm across the property test's examples.
+WARM = Memo(wire.ENCODE_MEMO_SIZE)
+
+
 @pytest.fixture
 def cold():
-    wire._BODIES.clear()
-    wire._PREFIXES.clear()
+    return Memo(wire.ENCODE_MEMO_SIZE)
+
+
+def _bodies(memo):
+    return [key for key in memo if key[0] in (SrvRqst, SrvRply)]
+
+
+def _prefixes(memo):
+    return [key for key in memo if key[0] not in (SrvRqst, SrvRply)]
 
 
 def test_all_eleven_types_are_drawn():
@@ -105,12 +118,13 @@ def test_all_eleven_types_are_drawn():
 @given(message=MESSAGES, other_xid=XID)
 def test_encode_equals_reference_cold_and_warm(message, other_xid):
     reference = wire._encode_reference(message)
-    assert encode(message) == reference
-    assert encode(message) == reference  # warm: body and prefix cached
+    assert encode(message) == reference  # no memo: the reference encoder
+    assert encode(message, WARM) == reference
+    assert encode(message, WARM) == reference  # warm: body and prefix cached
     assert decode(reference) == message
     resent = _with_xid(message, other_xid)
-    assert encode(resent) == wire._encode_reference(resent)
-    assert decode(encode(resent)) == resent
+    assert encode(resent, WARM) == wire._encode_reference(resent)
+    assert decode(encode(resent, WARM)) == resent
 
 
 def _raised(fn):
@@ -174,57 +188,74 @@ def test_rejections_match_reference_on_cold_and_warm_caches(cold, label, good, m
     bad = make_bad(good)
     expected = _raised(lambda: wire._encode_reference(bad))
     assert expected in (SlpEncodeError, UnicodeEncodeError)
-    assert _raised(lambda: encode(bad)) is expected  # cold
+    memo = cold
+    assert _raised(lambda: encode(bad, memo)) is expected  # cold
     # Warm: the good message's body and prefix are cached; the bad one
     # reuses whatever it can and must still fail the same way, also when
     # re-sent with a fresh XID.
-    assert encode(good) == wire._encode_reference(good)
-    assert encode(good) == wire._encode_reference(good)
-    assert _raised(lambda: encode(bad)) is expected
+    assert encode(good, memo) == wire._encode_reference(good)
+    assert encode(good, memo) == wire._encode_reference(good)
+    assert _raised(lambda: encode(bad, memo)) is expected
     if 0 <= bad.header.xid < 0xFFFF:
-        assert _raised(lambda: encode(_with_xid(bad, bad.header.xid + 1))) is expected
-    assert encode(good) == wire._encode_reference(good)
+        assert _raised(lambda: encode(_with_xid(bad, bad.header.xid + 1), memo)) is expected
+    assert encode(good, memo) == wire._encode_reference(good)
 
 
 def test_rejected_bodies_are_never_cached(cold):
     bad = SrvRply(header=Header(FunctionId.SRVRPLY, xid=1),
                   url_entries=(UrlEntry("service:a://h", 0x10000),))
     with pytest.raises(SlpEncodeError):
-        encode(bad)
-    assert not wire._BODIES and not wire._PREFIXES
+        encode(bad, cold)
+    assert not cold
 
 
 def test_unhashable_fields_take_the_reference_path(cold):
     message = SrvRqst(header=Header(FunctionId.SRVRQST, xid=9), service_type="service:a",
                       scopes=["DEFAULT", "HOME"])
-    assert encode(message) == wire._encode_reference(message)
-    assert not wire._BODIES
+    assert encode(message, cold) == wire._encode_reference(message)
+    assert not cold
 
 
 def test_body_cache_stays_within_its_bound(cold):
-    bound = wire._CACHE_MAX
+    bound = cold.bound
     messages = [
         SrvRqst(header=Header(FunctionId.SRVRQST, xid=i & 0xFFFF),
                 service_type=f"service:t{i}")
         for i in range(bound + 100)
     ]
     for message in messages:
-        assert encode(message) == wire._encode_reference(message)
-        assert len(wire._BODIES) <= bound
-    assert len(wire._BODIES) == bound
-    # The newest bodies are still served from the cache, the oldest were
+        assert encode(message, cold) == wire._encode_reference(message)
+        assert len(cold) <= bound
+    assert len(cold) == bound
+    # The newest bodies are still served from the memo, the oldest were
     # evicted and re-encode correctly.
+    bodies = _bodies(cold)
+    assert bodies[-1][2] == messages[-1].service_type
+    assert all(key[2] != messages[0].service_type for key in bodies)
     for message in (messages[-1], messages[0]):
         resent = _with_xid(message, 7)
-        assert encode(resent) == wire._encode_reference(resent)
-    assert len(wire._BODIES) <= bound
+        assert encode(resent, cold) == wire._encode_reference(resent)
+    assert len(cold) <= bound
 
 
 def test_prefix_cache_stays_within_its_bound(cold):
-    bound = wire._CACHE_MAX
+    bound = cold.bound
     for i in range(bound + 100):
         message = SrvRply(header=Header(FunctionId.SRVRPLY, xid=3, language_tag=f"l{i}"))
-        assert encode(message) == wire._encode_reference(message)
-        assert len(wire._PREFIXES) <= bound
-    assert len(wire._BODIES) == 1
-    assert len(wire._PREFIXES) == bound
+        assert encode(message, cold) == wire._encode_reference(message)
+        assert len(cold) <= bound
+        assert len(_bodies(cold)) <= 1
+    assert len(cold) == bound
+    assert len(_prefixes(cold)) >= bound - 1
+
+
+def test_parse_once_off_memos_store_nothing():
+    from repro.net import Network
+
+    memo = Network(parse_once=False).memo(wire.ENCODE_MEMO_SIZE)
+    message = SrvRply(header=Header(FunctionId.SRVRPLY, xid=3),
+                      url_entries=(UrlEntry("service:a://h"),))
+    for xid in (3, 4):
+        resent = _with_xid(message, xid)
+        assert encode(resent, memo) == wire._encode_reference(resent)
+    assert memo.bound == 0 and not memo

@@ -19,6 +19,8 @@ from repro.serving import frontend as frontend_module, wire
 from repro.world import World
 from repro.world.scenarios import serving_backbone_spec
 
+from world.test_memo_transparency import extras_outside_memo_counters
+
 # Characters JSON must escape or that ``ensure_ascii`` rewrites.
 AWKWARD = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "€",
                            " ", "😀"])
@@ -181,7 +183,11 @@ def test_parse_once_off_decodes_every_frame_and_changes_nothing(monkeypatch):
     assert shared.net.scheduler.fire_log == unshared.net.scheduler.fire_log
     assert len(shared.net.scheduler.fire_log) > 500
     assert shared.load_groups["query"] == unshared.load_groups["query"]
-    assert replace(shared.outcome(), world=None) == replace(unshared.outcome(), world=None)
+    shared_outcome, unshared_outcome = shared.outcome(), unshared.outcome()
+    assert extras_outside_memo_counters(shared_outcome.extras, unshared_outcome.extras) == []
+    assert replace(shared_outcome, world=None, extras=None) == replace(
+        unshared_outcome, world=None, extras=None
+    )
     # Hints remove every serving decode; without them each receiver of
     # each request and reply decodes once.
     rows = shared.load_groups["query"]

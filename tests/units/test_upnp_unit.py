@@ -208,9 +208,36 @@ class TestExporter:
         net.run()
         assert responses[0].status == 404
 
+    def test_only_the_newest_documents_are_kept(self):
+        from repro.core.unit import UnitRuntime
+        from repro.net import LatencyModel, Network
+        from repro.sdp.upnp import http_get
+        from repro.units.upnp_unit import EXPORTED_DOCUMENTS, DescriptionExporter
+
+        net = Network(latency=LatencyModel(jitter_us=0))
+        host, client = net.add_node("indiss"), net.add_node("client")
+        exporter = DescriptionExporter(UnitRuntime(host), port=4104)
+        record = ServiceRecord(
+            service_type="clock", url="service:clock:soap://192.168.1.5:4005/c",
+            source_sdp="slp",
+        )
+        advertised = exporter.export_advertised(record, 10**6)
+        locations = [
+            exporter.export(record, session_id) for session_id in range(EXPORTED_DOCUMENTS + 10)
+        ]
+        assert len(exporter._documents) == EXPORTED_DOCUMENTS
+        responses = []
+        for location in (locations[-1], locations[0], advertised):
+            http_get(client, location, responses.append)
+            net.run()
+        # An advertised record's NOTIFY repeats its LOCATION all run long.
+        assert [response.status for response in responses] == [200, 404, 200]
+        assert responses[0].body == _reference_description(record, EXPORTED_DOCUMENTS + 9)
+        assert responses[2].body == _reference_description(record, 10**6)
+
 
 def _reference_description(record, session_id):
-    """The exporter's document as built before description templates."""
+    """The exporter's document, built field by field."""
     from repro.sdp.base import upnp_device_type
     from repro.sdp.upnp import DeviceDescription, ServiceDescription
 
@@ -253,9 +280,9 @@ _exported_records = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_exported_records, st.integers(0, 10**9)), max_size=12))
 def test_exported_descriptions_match_a_direct_render(exports):
-    """Render-once templates: every exported document — first export of a
-    record or a repeat under a new session id — is byte-identical to the
-    document built directly, whatever the record's text holds."""
+    """Every exported document — first export of a record or a repeat
+    under a new session id — is byte-identical to the document built
+    field by field, whatever the record's text holds."""
     from repro.core.unit import UnitRuntime
     from repro.net import LatencyModel, Network
     from repro.units.upnp_unit import DescriptionExporter

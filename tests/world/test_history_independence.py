@@ -20,9 +20,10 @@ from repro.world.scenarios import SCENARIO_SPECS, SMALL_SCALE_OVERRIDES
 INTERLOPER = "gateway_chain"
 
 
-def fingerprint(name: str) -> dict:
+def fingerprint(name: str, parse_once: bool = True) -> dict:
+    """What a run of catalog entry ``name`` put on the wire and reported."""
     spec = SCENARIO_SPECS[name](**SMALL_SCALE_OVERRIDES.get(name, {}))
-    outcome = run_world(spec, seed=0, capture=True)
+    outcome = run_world(spec, seed=0, capture=True, parse_once=parse_once)
     digest = hashlib.sha256()
     for record in outcome.world.trace:
         digest.update(repr((
@@ -34,6 +35,8 @@ def fingerprint(name: str) -> dict:
         "trace": digest.hexdigest(),
         "events_fired": outcome.world.scheduler.events_fired,
         "latency_us": outcome.latency_us,
+        "results": outcome.results,
+        "extras": outcome.extras,
     }
 
 
