@@ -63,13 +63,19 @@ class LatencyModel:
         return int(round(size_bytes * 8 * 1_000_000 / self.bandwidth_bps))
 
     def delay_us(self, size_bytes: int, loopback: bool) -> int:
-        """Total delivery delay for one message."""
+        """Total delivery delay for one message, at least 1 µs: the fixed
+        cost, :meth:`transmission_us` inline (every frame hop calls this),
+        and a ``randrange(j + 1)`` jitter draw, the stream of ``randint``."""
         if loopback:
             return self.loopback_latency_us
-        delay = self.lan_latency_us + self.transmission_us(size_bytes)
-        if self.jitter_us > 0:
-            delay += self._rng.randint(0, self.jitter_us)
-        return max(delay, 1)
+        delay = self.lan_latency_us
+        bandwidth = self.bandwidth_bps
+        if bandwidth is not None and size_bytes > 0:
+            delay += round(size_bytes * 8_000_000 / bandwidth)
+        jitter = self.jitter_us
+        if jitter > 0:
+            delay += self._rng.randrange(jitter + 1)
+        return delay if delay > 0 else 1
 
     def det_delay_us(self, size_bytes: int) -> int:
         """The deterministic part of :meth:`delay_us`: no jitter draw.

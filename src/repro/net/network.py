@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .addressing import (
+    BROADCAST,
     Endpoint,
     LOOPBACK,
-    is_broadcast,
     is_loopback,
     is_multicast,
     parse_ipv4,
@@ -42,7 +43,7 @@ from .partition import PartitionMap
 from .segment import Bridge, DEFAULT_LINK_LATENCY_US, Link, Router, Segment
 from .simclock import Scheduler
 from .traffic import TrafficMonitor
-from .udp import Datagram, Memo, NULL_MEMO, ParseCounter
+from .udp import Datagram, FrameMemo, Memo, NULL_MEMO, ParseCounter, UdpSocket
 
 if TYPE_CHECKING:  # pragma: no cover
     from .parallel import ShardedScheduler
@@ -679,12 +680,6 @@ class Network:
 
     # -- capture --------------------------------------------------------------
 
-    def start_capture(self) -> None:
-        self._capture = True
-
-    def stop_capture(self) -> None:
-        self._capture = False
-
     def trace_message(
         self,
         transport: str,
@@ -738,21 +733,15 @@ class Network:
             self.route_cache_hits += 1
             return plan
         self.route_cache_misses += 1
-        plan = self._compute_route(sender, target)
-        self._route_plans[key] = plan
-        return plan
-
-    def _compute_route(
-        self, sender: Node, target: Node
-    ) -> Optional[tuple[tuple[Segment, ...], int, tuple[tuple[str, str], ...]]]:
-        """Uncached plan assembly: direct delivery or the router's path."""
         for seg in sender.segments:
             if target in seg:
-                return (seg,), 0, ()
+                plan = self._route_plans[key] = (seg,), 0, ()
+                return plan
         best = self.router.route(
             (s.name for s in sender.segments), (s.name for s in target.segments)
         )
         if best is None:
+            self._route_plans[key] = None
             return None
         source_name, hops = best
         traversed = [self.segments[source_name]]
@@ -764,7 +753,8 @@ class Network:
             traversed.append(self.segments[cursor])
             link_pairs.append(Router.pair(hop.a, hop.b))
             link_latency += hop.latency_us
-        return tuple(traversed), link_latency, tuple(link_pairs)
+        plan = self._route_plans[key] = tuple(traversed), link_latency, tuple(link_pairs)
+        return plan
 
     def unicast_delay_us(
         self, sender: Node, remote_host: str, size_bytes: int, loopback: bool = False
@@ -776,8 +766,8 @@ class Network:
         """
         if loopback or is_loopback(remote_host) or remote_host == sender.address:
             if not sender.segments:  # detached host: loopback still works
-                return self.latency.delay_us(size_bytes, loopback=True)
-            return sender.segment.delay_us(size_bytes, loopback=True)
+                return self.latency.delay_us(size_bytes, True)
+            return sender.segments[0].latency.delay_us(size_bytes, True)
         if not sender.segments:
             return None  # detached host: nothing reaches the wire
         target = self._nodes.get(remote_host)
@@ -787,7 +777,17 @@ class Network:
         if route is None:
             return None
         traversed, link_latency, _pairs = route
-        return sum(seg.delay_us(size_bytes) for seg in traversed) + link_latency
+        upstream = self._upstream_delay_us(traversed, link_latency, size_bytes)
+        return upstream + traversed[-1].latency.delay_us(size_bytes, False)
+
+    @staticmethod
+    def _upstream_delay_us(traversed, link_latency: int, size: int) -> int:
+        """The pre-final-hop cost of a routed frame: one delay draw per
+        segment before the last, in path order, plus the links' latency."""
+        delay = link_latency
+        for segment in traversed[:-1]:
+            delay += segment.latency.delay_us(size, False)
+        return delay
 
     # -- decode accounting -----------------------------------------------------
 
@@ -824,32 +824,24 @@ class Network:
 
         ``decode_hint`` pre-seeds the frame's decode memo with the sender's
         structured form of the payload (see :meth:`UdpSocket.sendto`).
+        Every booking of the frame uses one ``scheduler.now_us`` reading
+        (only the façade property returns the sending shard's clock).
         """
         if not sender.segments:
             # A detached host (fleet churn) has no NIC: the send drops.
             self.unrouted += 1
             return
-        multicast = is_multicast(destination.host)
-        self.traffic.record(
-            self.scheduler.now_us, destination.port, len(payload), "udp", multicast
-        )
-        if self.parse_once:
-            datagram = Datagram(payload=payload, source=source, destination=destination)
-            if decode_hint is not None:
-                datagram.ensure_memo().store(decode_hint[0], payload, decode_hint[1])
-        else:
-            # A/B mode: the shared null memo swallows stores and misses
-            # every lookup, so each receiver pays its own decode.
-            datagram = Datagram(
-                payload=payload, source=source, destination=destination, memo=NULL_MEMO
-            )
-
+        host = destination.host
+        multicast = is_multicast(host)
+        now = self.scheduler.now_us
+        self.traffic.record(now, destination.port, len(payload), "udp", multicast)
+        datagram = self._frame(payload, source, destination, decode_hint)
         if multicast:
-            self._deliver_multicast(sender, datagram)
-        elif is_broadcast(destination.host):
-            self._deliver_broadcast(sender, datagram)
+            self._deliver_multicast(sender, datagram, now)
+        elif host == BROADCAST:
+            self._deliver_broadcast(sender, datagram, now)
         else:
-            self._deliver_unicast(sender, datagram)
+            self._deliver_unicast(sender, datagram, now)
 
     def _obs_count_frame(self, segment: Segment, nbytes: int) -> None:
         """Per-segment frame/byte counters (recording enabled only).
@@ -883,42 +875,39 @@ class Network:
             pair[0].inc()
             pair[1].inc(nbytes)
 
-    def _record_on_segment(
-        self, segment: Segment, datagram: Datagram, multicast: bool
-    ) -> None:
+    def _book(self, segments, datagram: Datagram, now: int, multicast: bool) -> None:
+        """Book one frame on each of ``segments``: traffic monitors, then
+        the recorder's frame counters and the wire trace when on."""
+        payload = datagram.payload
+        size = len(payload)
+        port = datagram.destination.port
+        for segment in segments:
+            segment.traffic.record(now, port, size, "udp", multicast)
         if self.obs.on:
-            self._obs_count_frame(segment, len(datagram.payload))
-        segment.traffic.record(
-            self.scheduler.now_us,
-            datagram.destination.port,
-            len(datagram.payload),
-            "udp",
-            multicast=multicast,
-        )
+            for segment in segments:
+                self._obs_count_frame(segment, size)
         if self._capture:
-            self.trace_message(
-                "udp",
-                datagram.source,
-                datagram.destination,
-                datagram.payload,
-                segment=segment.name,
-            )
+            for segment in segments:
+                self.trace.append(
+                    TraceRecord(
+                        now, "udp", datagram.source, datagram.destination, size,
+                        payload, segment.name,
+                    )
+                )
 
-    def _deliver_unicast(self, sender: Node, datagram: Datagram) -> None:
-        destination = datagram.destination
-        size = len(datagram.payload)
-        if is_loopback(destination.host) or destination.host == sender.address:
-            self._record_on_segment(sender.segment, datagram, multicast=False)
-            self._schedule_delivery(sender, datagram, True, sender.segment)
+    def _deliver_unicast(self, sender: Node, datagram: Datagram, now: int) -> None:
+        """Route one unicast frame: loopback, unrouted, cross-district,
+        fault trunk, or routed/same-segment (target looked up per send)."""
+        host = datagram.destination.host
+        if host == sender.address or is_loopback(host):
+            home = sender.segments[0]
+            self._book((home,), datagram, now, False)
+            self._deliver_to_sockets(sender, datagram, True, home, 0)
             return
-        target = self._nodes.get(destination.host)
-        if target is None:
-            self._record_on_segment(sender.segment, datagram, multicast=False)
-            self.unrouted += 1
-            return
-        route = self._route_segments(sender, target)
+        target = self._nodes.get(host)
+        route = None if target is None else self._route_segments(sender, target)
         if route is None:
-            self._record_on_segment(sender.segment, datagram, multicast=False)
+            self._book(sender.segments[:1], datagram, now, False)
             self.unrouted += 1
             return
         traversed, link_latency, link_pairs = route
@@ -932,18 +921,50 @@ class Network:
                 # make the destination district's RNG order depend on the
                 # source district's traffic interleaving.
                 self._deliver_cross(
-                    sender, datagram, traversed, link_latency, src_pid, dst_pid
+                    sender, datagram, traversed, link_latency, src_pid, dst_pid, now
                 )
                 return
-        for segment in traversed:
-            self._record_on_segment(segment, datagram, multicast=False)
+        self._book(traversed, datagram, now, False)
         if link_pairs and self._adversity:
             self._deliver_trunk(target, datagram, traversed, link_latency, link_pairs)
             return
         # Upstream (pre-final-hop) cost is drawn once; the final-segment
         # delay is drawn per receiving socket, like local delivery.
-        prefix = sum(s.delay_us(size) for s in traversed[:-1]) + link_latency
-        self._schedule_delivery(target, datagram, False, traversed[-1], prefix)
+        prefix = self._upstream_delay_us(traversed, link_latency, len(datagram.payload))
+        self._deliver_to_sockets(target, datagram, False, traversed[-1], prefix)
+
+    def _deliver_to_sockets(
+        self, node: Node, datagram: Datagram, loopback: bool, segment: Segment, prefix: int
+    ) -> None:
+        """Post one delivery event per socket ``node`` bound to the frame's
+        port (global loss draw, then delay draw, per socket); the loop only
+        posts events, so it walks the port table without a copy."""
+        stack = node._udp
+        if stack is None:
+            return  # the host never opened a socket; nothing can bind
+        sockets = stack._ports.get(datagram.destination.port)
+        if not sockets:
+            return
+        post = self.scheduler_for(node).post
+        latency = segment.latency
+        size = len(datagram.payload)
+        loss = None if loopback else self.loss
+        deliver = UdpSocket.deliver
+        if segment.loss is not None and not loopback:
+            deliver = partial(self._deliver_lossy, segment.loss, segment)
+        for sock in sockets:
+            if loss is not None and loss.should_drop():
+                continue
+            delay = prefix + latency.delay_us(size, loopback)
+            post(delay, partial(deliver, sock, datagram), "udp-delivery")
+
+    def _deliver_lossy(self, loss, segment: Segment, sock, datagram: Datagram) -> None:
+        # Adversity: the per-edge drop is drawn at delivery-event time on
+        # the owning shard — send paths replay in forked workers.
+        if loss.should_drop():
+            self._obs_loss_drop(segment.name, segment.name)
+        else:
+            sock.deliver(datagram)
 
     def _deliver_trunk(
         self,
@@ -963,8 +984,7 @@ class Network:
         event order on the district that owns the path, so seeded fault
         runs replay identically on every engine backend.
         """
-        size = len(datagram.payload)
-        prefix = sum(s.delay_us(size) for s in traversed[:-1]) + link_latency
+        prefix = self._upstream_delay_us(traversed, link_latency, len(datagram.payload))
         final = traversed[-1]
         router = self.router
 
@@ -981,7 +1001,7 @@ class Network:
                 if model is not None and model.should_drop():
                     self._obs_loss_drop(f"{pair[0]}-{pair[1]}", final.name)
                     return
-            self._schedule_delivery(target, datagram, False, final, 0)
+            self._deliver_to_sockets(target, datagram, False, final, 0)
 
         self.scheduler_for(target).post(prefix, on_trunk, label="udp-trunk")
 
@@ -993,6 +1013,7 @@ class Network:
         link_latency: int,
         src_pid: int,
         dst_pid: int,
+        now: int,
     ) -> None:
         """Unicast across a district boundary — identical in both engines.
 
@@ -1016,9 +1037,9 @@ class Network:
         size = len(datagram.payload)
         final = traversed[-1]
         pid_of = self.partition_map.pid_of
-        for segment in traversed:
-            if pid_of.get(segment.name) == src_pid:
-                self._record_on_segment(segment, datagram, multicast=False)
+        self._book(
+            [s for s in traversed if pid_of.get(s.name) == src_pid], datagram, now, False
+        )
         delay = (
             sum(s.det_delay_us(size) for s in traversed[:-1])
             + link_latency
@@ -1049,24 +1070,28 @@ class Network:
         # engine) draws once per frame here.
         if self.loss is not None and self.loss.should_drop():
             return
-        self._record_on_segment(final, datagram, multicast=False)
-        fresh = self._cross_datagram(datagram.payload, datagram.source, destination)
+        self._book((final,), datagram, now, False)
+        # A fresh frame: parse-once restarts among the target's sockets.
+        fresh = self._frame(datagram.payload, datagram.source, destination)
         self.scheduler.post(
             delay,
-            lambda: self._deliver_cross_frame(destination.host, destination.port, fresh),
+            partial(self._deliver_cross_frame, destination.host, destination.port, fresh),
             label=CROSS_LABEL,
         )
 
-    def _cross_datagram(
-        self, payload: bytes, source: Endpoint, destination: Endpoint
+    def _frame(
+        self, payload: bytes, source: Endpoint, destination: Endpoint, decode_hint=None
     ) -> Datagram:
-        """A fresh frame for the far side of a district boundary; its memo
-        starts empty (parse-once restarts among the target's sockets)."""
-        if self.parse_once:
-            return Datagram(payload=payload, source=source, destination=destination)
-        return Datagram(
-            payload=payload, source=source, destination=destination, memo=NULL_MEMO
-        )
+        """A new frame, its memo seeded with ``decode_hint`` if given.  With
+        ``parse_once`` off (A/B mode) every frame carries the shared null
+        memo, so each receiver pays its own decode."""
+        if not self.parse_once:
+            return Datagram(payload, source, destination, NULL_MEMO)
+        if decode_hint is None:
+            return Datagram(payload, source, destination)
+        memo = FrameMemo()
+        memo.store(decode_hint[0], payload, decode_hint[1])
+        return Datagram(payload, source, destination, memo)
 
     def _deliver_cross_frame(
         self, dest_host: str, dest_port: int, datagram: Datagram
@@ -1086,31 +1111,20 @@ class Network:
         """Schedule one barrier-exchanged frame on its target shard."""
         source = Endpoint(frame.source_host, frame.source_port)
         destination = Endpoint(frame.dest_host, frame.dest_port)
-        datagram = self._cross_datagram(frame.payload, source, destination)
+        datagram = self._frame(frame.payload, source, destination)
         final = self.segments.get(frame.final_segment)
         if final is not None:
-            if self.obs.on:
-                self._obs_count_frame(final, len(frame.payload))
-            # Books the frame at its (earlier) send time, mirroring what
-            # the single-threaded oracle recorded inline.
-            final.traffic.record(
-                frame.send_time_us,
-                frame.dest_port,
-                len(frame.payload),
-                "udp",
-                multicast=False,
-            )
-            self.trace_message(
-                "udp", source, destination, frame.payload, segment=final.name
-            )
+            # Booked at its (earlier) send time, like the single-threaded
+            # oracle books it inline.
+            self._book((final,), datagram, frame.send_time_us, False)
         shard = self.engine.shards[frame.dst_pid]
         shard.post(
             frame.due_us - shard._now_us,
-            lambda: self._deliver_cross_frame(frame.dest_host, frame.dest_port, datagram),
+            partial(self._deliver_cross_frame, frame.dest_host, frame.dest_port, datagram),
             label=CROSS_LABEL,
         )
 
-    def _deliver_multicast(self, sender: Node, datagram: Datagram) -> None:
+    def _deliver_multicast(self, sender: Node, datagram: Datagram, now: int) -> None:
         """Fan a datagram out to the group on each of the sender's segments.
 
         Group membership resolves at *delivery* time (a socket that joins
@@ -1123,57 +1137,51 @@ class Network:
         than every attached node, so a frame costs O(group members) — idle
         background hosts on a large LAN are never touched.
         """
-        group = datagram.destination.host
-        port = datagram.destination.port
         size = len(datagram.payload)
+        segments = sender.segments
         # Multicast is segment-scoped, so every receiver shares the
         # sender's district: its shard carries the whole fan-out (and this
         # also keeps workload-time sends off the engine façade).
-        scheduler = self.scheduler_for(sender)
-        for segment in sender.segments:
-            self._record_on_segment(segment, datagram, multicast=True)
-            lan_delay = segment.delay_us(size)
-            drop = self.loss is not None and self.loss.should_drop()
-
-            def deliver_lan(segment: Segment = segment, drop: bool = drop) -> None:
-                if drop:
-                    return
-                self._fan_out(
-                    segment.group_members(group, port), datagram, sender, segment
-                )
-
-            scheduler.post(lan_delay, deliver_lan, label="udp-mcast")
-
-        loop_delay = sender.segment.delay_us(size, loopback=True)
-
-        def deliver_loopback() -> None:
-            self._fan_out(sender.udp.sockets_for_group(group, port), datagram)
-
-        scheduler.post(loop_delay, deliver_loopback, label="udp-mcast-loop")
+        post = self.scheduler_for(sender).post
+        self._book(segments, datagram, now, True)
+        loss = self.loss
+        for segment in segments:
+            lan_delay = segment.latency.delay_us(size, False)
+            fan_out = partial(self._fan_out, datagram, sender, segment)
+            if loss is not None and loss.should_drop():
+                fan_out = _dropped
+            post(lan_delay, fan_out, "udp-mcast")
+        loop_delay = segments[0].latency.delay_us(size, True)
+        post(loop_delay, partial(self._fan_out, datagram, sender), "udp-mcast-loop")
 
     def _fan_out(
-        self,
-        sockets: list,
-        datagram: Datagram,
-        sender: Optional[Node] = None,
-        segment: Optional[Segment] = None,
+        self, datagram: Datagram, sender: Node, segment: Optional[Segment] = None
     ) -> None:
-        """Hand one multicast frame to each of ``sockets``.
+        """Hand one multicast frame to the group's members on ``segment``,
+        or (no segment) to the sender host's own members, resolved now.
 
-        On a LAN (``segment`` given) the sender's own sockets are skipped
-        and each receiver draws the segment's per-edge loss.  The draws
-        happen here, at delivery-event time on the owning shard — never
-        at send time, where the workload replay in forked workers would
-        diverge RNGs — and *before* the receive filter, so filters never
-        change the draw order.  Each frame is classified at most once per
-        distinct classifier among the receivers' filters.
+        On a LAN the sender's own sockets are skipped and each receiver
+        draws the segment's per-edge loss.  The draws happen here, at
+        delivery-event time on the owning shard — never at send time,
+        where the workload replay in forked workers would diverge RNGs —
+        and *before* the receive filter, so filters never change the draw
+        order.  Each frame is classified at most once per distinct
+        classifier among the receivers' filters.
         """
-        loss = segment.loss if segment is not None else None
+        group = datagram.destination.host
+        port = datagram.destination.port
+        if segment is None:
+            sockets = sender.udp.sockets_for_group(group, port)
+            loss = skip = None
+        else:
+            sockets = segment.group_members(group, port)
+            loss = segment.loss
+            skip = sender
         payload = datagram.payload
         kinds: dict = {}
         last = kind = None
         for sock in sockets:
-            if sock._node is sender:
+            if sock._node is skip:
                 continue
             if loss is not None and loss.should_drop():
                 self._obs_loss_drop(segment.name, segment.name)
@@ -1190,56 +1198,15 @@ class Network:
                     continue
             sock._accept(datagram)
 
-    def _deliver_broadcast(self, sender: Node, datagram: Datagram) -> None:
+    def _deliver_broadcast(self, sender: Node, datagram: Datagram, now: int) -> None:
         delivered: set[str] = set()
         for segment in sender.segments:
-            self._record_on_segment(segment, datagram, multicast=False)
+            self._book((segment,), datagram, now, False)
             for node in segment.nodes:
                 if node.address in delivered:
                     continue
                 delivered.add(node.address)
-                self._schedule_delivery(node, datagram, node is sender, segment)
-
-    def _schedule_delivery(
-        self,
-        node: Node,
-        datagram: Datagram,
-        loopback: bool,
-        segment: Segment,
-        prefix_delay: int = 0,
-    ) -> None:
-        stack = node.udp_stack
-        if stack is None:
-            return  # the host never opened a socket; nothing can bind
-        for sock in stack.sockets_for(datagram.destination.port):
-            self._schedule_socket_delivery(sock, datagram, loopback, segment, prefix_delay)
-
-    def _schedule_socket_delivery(
-        self,
-        sock,
-        datagram: Datagram,
-        loopback: bool,
-        segment: Segment,
-        prefix_delay: int = 0,
-    ) -> None:
-        if self.loss is not None and not loopback and self.loss.should_drop():
-            return
-        delay = prefix_delay + segment.delay_us(len(datagram.payload), loopback=loopback)
-        loss = segment.loss
-        if loss is not None and not loopback:
-            # Adversity: draw the drop at delivery-event time (owning
-            # shard), not here — send paths replay in forked workers.
-            def deliver_lossy() -> None:
-                if loss.should_drop():
-                    self._obs_loss_drop(segment.name, segment.name)
-                    return
-                sock.deliver(datagram)
-
-            self.scheduler_for(sock.node).post(delay, deliver_lossy, label="udp-delivery")
-            return
-        self.scheduler_for(sock.node).post(
-            delay, lambda: sock.deliver(datagram), label="udp-delivery"
-        )
+                self._deliver_to_sockets(node, datagram, node is sender, segment, 0)
 
     # -- run helpers ------------------------------------------------------------
 
@@ -1268,6 +1235,10 @@ class Network:
         occ1 = getattr(sch, "_occ1", 0)
         metrics.gauge("net.wheel.slots_near").set(bin(occ0).count("1"))
         metrics.gauge("net.wheel.slots_far").set(bin(occ1).count("1"))
+
+
+def _dropped() -> None:
+    """The event of a multicast copy the global loss model dropped."""
 
 
 __all__ = ["Network", "TraceRecord", "LOOPBACK"]

@@ -8,7 +8,7 @@ plus the per-port counters used by tests and benchmark reports.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
 
@@ -44,7 +44,7 @@ class TrafficMonitor:
     def __init__(self, bandwidth_bps: int | None, window_us: int = 5_000_000):
         self._bandwidth_bps = bandwidth_bps
         self._window_us = window_us
-        self._per_port: dict[int, PortCounters] = defaultdict(PortCounters)
+        self._per_port: dict[int, PortCounters] = {}
         self._recent: deque[list[int]] = deque()
         #: Latest time booked so far, and the newest late bucket.
         self._latest_us = -1
@@ -53,7 +53,9 @@ class TrafficMonitor:
         self.total_bytes = 0
 
     def record(self, time_us: int, port: int, size: int, transport: str, multicast: bool) -> None:
-        counters = self._per_port[port]
+        counters = self._per_port.get(port)
+        if counters is None:
+            counters = self._per_port[port] = PortCounters()
         counters.messages += 1
         counters.bytes += size
         counters.last_seen_us = time_us

@@ -192,9 +192,10 @@ def shared_decode(memo, key, payload: bytes, codec, counter=None):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Datagram:
-    """A delivered UDP datagram."""
+    """A delivered UDP datagram; slotted, as one is built per frame sent.
+    Nothing assigns its fields after construction but :meth:`ensure_memo`."""
 
     payload: bytes
     source: Endpoint
@@ -214,8 +215,7 @@ class Datagram:
         """
         memo = self.memo
         if memo is None:
-            memo = FrameMemo()
-            object.__setattr__(self, "memo", memo)
+            memo = self.memo = FrameMemo()
         return memo
 
     @property
@@ -251,6 +251,8 @@ class UdpSocket:
     def __init__(self, node: "Node"):
         self._node = node
         self._port: int | None = None
+        #: ``(node address, port)``, made once when the socket binds.
+        self._source: Endpoint | None = None
         self._groups: set[str] = set()
         self._closed = False
         #: Set by :meth:`repro.net.udp.UdpStack.crash`: the owning process
@@ -287,19 +289,22 @@ class UdpSocket:
     def bind(self, port: int, reuse: bool = False) -> "UdpSocket":
         """Bind to ``port``.  ``reuse`` mirrors SO_REUSEADDR: several sockets
         (typically multicast listeners) may share the port."""
-        self._ensure_open()
+        if self._closed:
+            raise SocketClosedError("operation on closed UDP socket")
         if self._port is not None:
             raise PortInUseError(f"socket already bound to {self._port}")
         validate_port(port)
         self._node.udp.register(self, port, reuse)
         self._port = port
+        self._source = Endpoint(self._node.address, port)
         for group in self._groups:
             self._index_membership(group)
         return self
 
     def join_group(self, group: str) -> "UdpSocket":
         """Join a multicast group (must be a 224/4 address)."""
-        self._ensure_open()
+        if self._closed:
+            raise SocketClosedError("operation on closed UDP socket")
         if not is_multicast(group):
             raise ValueError(f"not a multicast group: {group!r}")
         if group not in self._groups:
@@ -358,14 +363,15 @@ class UdpSocket:
         """
         if self._crashed:
             return
-        self._ensure_open()
-        if self._port is None:
+        if self._closed:
+            raise SocketClosedError("operation on closed UDP socket")
+        node = self._node
+        source = self._source
+        if source is None:
             # Match OS behaviour: sending auto-binds to an ephemeral port.
-            self.bind(self._node.udp.ephemeral_port())
-        source = Endpoint(self._node.address, self._port)
-        self._node.network.send_datagram(
-            self._node, source, destination, bytes(payload), decode_hint=decode_hint
-        )
+            self.bind(node.udp.ephemeral_port())
+            source = self._source
+        node.network.send_datagram(node, source, destination, bytes(payload), decode_hint)
         self.sent_count += 1
 
     def deliver(self, datagram: Datagram) -> None:
@@ -396,10 +402,6 @@ class UdpSocket:
             for group in self._groups:
                 self._unindex_membership(group)
         self._groups.clear()
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise SocketClosedError("operation on closed UDP socket")
 
 
 class UdpStack:
@@ -448,7 +450,7 @@ class UdpStack:
 
     def sockets_for_group(self, group: str, port: int) -> list[UdpSocket]:
         """Sockets bound to ``port`` that joined multicast ``group``."""
-        return [s for s in self._ports.get(port, ()) if group in s.groups]
+        return [s for s in self._ports.get(port, ()) if group in s._groups]
 
     def multicast_members(self):
         """Every (group, port, socket) membership on this node.

@@ -130,6 +130,12 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise SlpDecodeError(f"invalid UTF-8 in string: {exc}") from exc
 
+    def error_code(self) -> ErrorCode:
+        try:
+            return ErrorCode(self.u16())
+        except ValueError as exc:
+            raise SlpDecodeError(f"unknown error code: {exc}") from exc
+
     def string_list(self) -> tuple[str, ...]:
         text = self.string()
         if not text:
@@ -331,7 +337,10 @@ def decode_header(data: bytes) -> tuple[Header, int, int]:
     reader.u24()  # next extension offset (unsupported, ignored)
     xid = reader.u16()
     lang_len = reader.u16()
-    language = reader._take(lang_len).decode("ascii")
+    try:
+        language = reader._take(lang_len).decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise SlpDecodeError(f"non-ASCII language tag: {exc}") from exc
     header = Header(function_id=function_id, xid=xid, flags=flags, language_tag=language)
     return header, total_length, reader._pos
 
@@ -352,7 +361,7 @@ def decode(data: bytes) -> SlpMessage:
             spi=reader.string(),
         )
     if fid is FunctionId.SRVRPLY:
-        error = ErrorCode(reader.u16())
+        error = reader.error_code()
         count = reader.u16()
         entries = tuple(reader.url_entry() for _ in range(count))
         return SrvRply(header=header, error_code=error, url_entries=entries)
@@ -378,7 +387,7 @@ def decode(data: bytes) -> SlpMessage:
             tag_list=reader.string(),
         )
     if fid is FunctionId.SRVACK:
-        return SrvAck(header=header, error_code=ErrorCode(reader.u16()))
+        return SrvAck(header=header, error_code=reader.error_code())
     if fid is FunctionId.ATTRRQST:
         return AttrRqst(
             header=header,
@@ -389,13 +398,13 @@ def decode(data: bytes) -> SlpMessage:
             spi=reader.string(),
         )
     if fid is FunctionId.ATTRRPLY:
-        error = ErrorCode(reader.u16())
+        error = reader.error_code()
         attr_list = reader.string()
         if reader.u8():
             raise SlpDecodeError("attribute authentication blocks are not supported")
         return AttrRply(header=header, error_code=error, attr_list=attr_list)
     if fid is FunctionId.DAADVERT:
-        error = ErrorCode(reader.u16())
+        error = reader.error_code()
         boot = reader.u32()
         url = reader.string()
         scopes = reader.string_list()
@@ -422,7 +431,7 @@ def decode(data: bytes) -> SlpMessage:
     if fid is FunctionId.SRVTYPERPLY:
         return SrvTypeRply(
             header=header,
-            error_code=ErrorCode(reader.u16()),
+            error_code=reader.error_code(),
             service_types=reader.string_list(),
         )
     if fid is FunctionId.SAADVERT:

@@ -504,11 +504,12 @@ class SlpUnit(Unit):
             else Endpoint(SLP_MULTICAST_GROUP, SLP_PORT)
         )
         session.log(f"slp-unit: composed recursive AttrRqst xid={xid}")
+        message = OutboundMessage(
+            encode(request), destination, decode_hint=(WIRE_MEMO_KEY, request)
+        )
         self.runtime.schedule(
             self.runtime.timings.compose_us,
-            lambda: self.runtime.send_udp(
-                encode(request), destination, decode_hint=(WIRE_MEMO_KEY, request)
-            ),
+            lambda: self._send_all([message], self.runtime.send_udp),
         )
         self.runtime.schedule(
             self._attr_wait_us + self.runtime.timings.compose_us,
@@ -642,10 +643,11 @@ class SlpUnit(Unit):
             attr_list=serialize_attributes(record.attributes),
         )
         self.da_registrations += 1
-        self.runtime.send_udp_from_new_socket(
+        message = OutboundMessage(
             encode(registration), self.known_da,
             decode_hint=(WIRE_MEMO_KEY, registration),
         )
+        self._send_all([message], self.runtime.send_udp_from_new_socket)
 
 
 def _first_ttl(stream: list[Event]) -> int | None:

@@ -240,3 +240,16 @@ def _fake_event():
 
     fake_type = REGISTRY.define("SDP_TEST_UNKNOWN", EventCategory.DISCOVERY, sdp="test")
     return Event.of(fake_type)
+
+
+def test_every_hinted_slp_send_counts_a_seed():
+    """The recursive AttrRqst leaves with a decode hint like the unit's
+    other SLP frames, so it counts as a seed too (4 hinted frames)."""
+    from repro.world import World
+    from repro.world.scenarios import SCENARIO_SPECS
+
+    world = World.build(SCENARIO_SPECS["upnp_to_slp_service_side"](), seed=0)
+    world.run_workload()
+    assert world.outcome().latency_us is not None
+    counter = world.net.parse_stats["slp"]
+    assert (counter.seeded, counter.decoded, counter.shared) == (4, 0, 4)
