@@ -155,12 +155,10 @@ class DispatchPolicy:
     ) -> Optional[ServiceRecord]:
         """First cached record of ``service_type`` not native to the
         requester's own protocol."""
-        records = [
-            record
-            for record in indiss.cache.lookup(service_type)
-            if record.source_sdp != origin_sdp
-        ]
-        return records[0] if records else None
+        for record in indiss.cache.lookup(service_type):
+            if record.source_sdp != origin_sdp:
+                return record
+        return None
 
     def mark_forwarded(
         self, indiss: "Indiss", session: TranslationSession, targets: list["Unit"]

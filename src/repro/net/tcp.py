@@ -40,11 +40,9 @@ class TcpConnection:
         self._data_handler: Optional[DataHandler] = None
         self._close_handler: Optional[CloseHandler] = None
         self._closed = False
-        #: Set by :meth:`TcpStack.crash`: the owning process crash-stopped,
-        #: so sends from stale timers drop silently (no FIN ever went out —
-        #: the peer only notices through its own timeouts).
-        self._crashed = False
-        node.tcp._connections.append(self)
+        #: The stack this connection is registered with while it is open.
+        self._stack = node.tcp
+        self._stack._connections.add(self)
         self._recv_buffer: list[tuple[bytes, object]] = []
         #: Decode memo attached to the chunk currently being delivered to
         #: the data handler (``None`` outside delivery).  This is the TCP
@@ -100,9 +98,12 @@ class TcpConnection:
         with the structured form of an encoded message so no receiver of
         the fan-out pays the decode (see ``repro.sdp.upnp.gena``).
         """
-        if self._crashed:
-            return
         if self._closed:
+            if self._stack._crashed:
+                # The owning process crash-stopped: sends from stale timers
+                # drop silently (no FIN ever went out — the peer only
+                # notices through its own timeouts).
+                return
             raise SocketClosedError("send on closed TCP connection")
         if self._peer is None:
             raise SocketClosedError("connection has no peer")
@@ -150,6 +151,7 @@ class TcpConnection:
         if self._closed:
             return
         self._closed = True
+        self._stack._connections.discard(self)
         peer = self._peer
         if peer is not None and not peer._closed:
             network = self._node.network
@@ -167,6 +169,7 @@ class TcpConnection:
         if self._closed:
             return
         self._closed = True
+        self._stack._connections.discard(self)
         if self._close_handler is not None:
             self._close_handler()
 
@@ -205,9 +208,16 @@ class TcpStack:
     def __init__(self, node: "Node"):
         self._node = node
         self._listeners: dict[int, TcpListener] = {}
-        #: Connections this node opened or accepted, for crash-stop
-        #: teardown (see :meth:`crash`).
-        self._connections: list[TcpConnection] = []
+        #: Open connections this node opened or accepted, for crash-stop
+        #: teardown and the ports a wrapped ephemeral cursor skips.  A
+        #: connection leaves the moment it closes, so the set follows the
+        #: live connections, not how many a run has made.  Only membership
+        #: is ever read, never the order.
+        self._connections: set[TcpConnection] = set()
+        #: Set by :meth:`crash`.  A connection of this stack that closed
+        #: before the crash is no longer in :attr:`_connections`; its
+        #: stale sends read this flag to stay silent too.
+        self._crashed = False
         #: Ephemeral ports handed out so far, plus :attr:`EPHEMERAL_BASE`.
         self._next_ephemeral = self.EPHEMERAL_BASE
 
@@ -229,10 +239,10 @@ class TcpStack:
         are swallowed by the receive-side closed guard and the survivor
         only learns through its own application-level timeouts (the real
         crash-stop failure signature)."""
+        self._crashed = True
         for listener in list(self._listeners.values()):
             listener.close()
         for connection in self._connections:
-            connection._crashed = True
             connection._closed = True
         self._connections.clear()
 
@@ -248,8 +258,7 @@ class TcpStack:
         node's open connections hold, and raises only when all are held."""
         span = 65536 - self.EPHEMERAL_BASE
         held = ()
-        if self._next_ephemeral > 65535:  # wrapped: forget closed connections
-            self._connections = [c for c in self._connections if not c.closed]
+        if self._next_ephemeral > 65535:  # wrapped
             held = {c.local.port for c in self._connections}
         for _ in range(span):
             port = self.EPHEMERAL_BASE + (self._next_ephemeral - self.EPHEMERAL_BASE) % span

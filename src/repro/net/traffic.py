@@ -8,7 +8,6 @@ plus the per-port counters used by tests and benchmark reports.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -29,11 +28,15 @@ class TrafficMonitor:
     window of recent traffic for utilization queries.  ``window_us`` bounds
     how far back :meth:`utilization` can look.
 
-    The window holds coalesced ``[time_us, bytes]`` buckets, not one
-    sample per frame: a frame recorded in the same µs as the newest
-    bucket adds its bytes there, so a multicast burst costs one bucket.
-    Eviction pops buckets from the front exactly where it would have
-    popped the samples they merge, so every window query is unchanged.
+    The window is two parallel integer columns, bucket times and bucket
+    byte counts, with a head index marking the oldest live bucket.  A
+    frame recorded in the same µs as the newest bucket adds its bytes
+    there, so a multicast burst costs one bucket; no booking allocates a
+    container.  Eviction advances the head past buckets older than the
+    horizon exactly where popping samples from a per-frame queue would
+    stop, so every window query answers as that queue did.  Once the
+    head passes half the columns the dead prefix is cut off, which keeps
+    the columns proportional to the live window at O(1) amortised cost.
 
     A frame may be booked at an earlier time than the latest one booked
     so far (a district crossing books its send time).  Every bucket after
@@ -45,10 +48,14 @@ class TrafficMonitor:
         self._bandwidth_bps = bandwidth_bps
         self._window_us = window_us
         self._per_port: dict[int, PortCounters] = {}
-        self._recent: deque[list[int]] = deque()
-        #: Latest time booked so far, and the newest late bucket.
+        #: Bucket columns; the live window is ``[_head, len)``.
+        self._times: list[int] = []
+        self._sizes: list[int] = []
+        self._head = 0
+        #: Latest time booked so far, and the column index of the newest
+        #: late bucket (below ``_head`` once evicted, or when none exists).
         self._latest_us = -1
-        self._late: list[int] | None = None
+        self._late = -1
         self.total_messages = 0
         self.total_bytes = 0
 
@@ -63,19 +70,28 @@ class TrafficMonitor:
             counters.multicast_messages += 1
         self.total_messages += 1
         self.total_bytes += size
-        recent = self._recent
-        if recent and recent[-1][0] == time_us:
-            recent[-1][1] += size
+        times = self._times
+        if times and times[-1] == time_us:
+            self._sizes[-1] += size
             return
-        bucket = [time_us, size]
-        recent.append(bucket)
         if time_us < self._latest_us:
-            self._late = bucket
+            self._late = len(times)
         else:
             self._latest_us = time_us
+        times.append(time_us)
+        self._sizes.append(size)
         horizon = time_us - self._window_us
-        while recent[0][0] < horizon:
-            recent.popleft()
+        head = self._head
+        if times[head] < horizon:
+            head += 1
+            while times[head] < horizon:
+                head += 1
+            if head << 1 > len(times):
+                del times[:head]
+                del self._sizes[:head]
+                self._late -= head
+                head = 0
+            self._head = head
 
     def port(self, port: int) -> PortCounters:
         """Counters for ``port`` (zeros if never seen)."""
@@ -91,19 +107,24 @@ class TrafficMonitor:
                 f"window {window_us} exceeds monitor retention {self._window_us}"
             )
         horizon = now_us - window_us
-        total = 0
+        times = self._times
+        sizes = self._sizes
+        head = self._head
         # Walk back from the newest bucket.  Until the walk reaches the
         # newest late bucket, a bucket older than the horizon has only
         # older ones before it.
         late = self._late
-        may_stop = True
-        for bucket in reversed(self._recent):
-            if bucket is late:
-                may_stop = False
-            if bucket[0] >= horizon:
-                total += bucket[1]
-            elif may_stop:
-                break
+        index = len(times) - 1
+        stop = late if late >= head else head - 1
+        total = 0
+        while index > stop:
+            if times[index] < horizon:
+                return total
+            total += sizes[index]
+            index -= 1
+        for i in range(head, index + 1):
+            if times[i] >= horizon:
+                total += sizes[i]
         return total
 
     def utilization(self, now_us: int, window_us: int = 1_000_000) -> float:

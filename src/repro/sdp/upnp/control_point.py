@@ -168,8 +168,19 @@ class UpnpControlPoint:
                     self.on_byebye(message.usn)
 
     def _remember(self, message: SsdpMessage) -> Optional[KnownDevice]:
+        """Record ``message``'s device; a repeat of an unchanged
+        advertisement refreshes the existing entry in place."""
         if not message.usn:
             return None
+        entry = self.known_devices.get(message.usn)
+        if (
+            entry is not None
+            and entry.target == message.target
+            and entry.location == message.location
+            and entry.max_age_s == message.max_age_s
+        ):
+            entry.last_seen_us = self.node.now_us
+            return entry
         entry = KnownDevice(
             usn=message.usn,
             target=message.target,

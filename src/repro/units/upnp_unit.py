@@ -313,12 +313,15 @@ class DescriptionExporter:
     def __init__(self, runtime: UnitRuntime, port: int = 4104):
         self.runtime = runtime
         self.port = port
-        #: Served documents by path.  A plain memo, not ``Network.memo``:
-        #: serving must not switch off with ``parse_once``.
+        #: ``(record, path, session)`` of each served document, by path;
+        #: :meth:`document` renders one when a client fetches it, since
+        #: most exported LOCATIONs are never dereferenced.  A plain memo,
+        #: not ``Network.memo``: serving must not switch off with
+        #: ``parse_once``.
         self._documents = Memo(EXPORTED_DOCUMENTS)
-        #: Documents behind advertised records, whose NOTIFYs repeat one
+        #: The same for advertised records, whose NOTIFYs repeat one
         #: LOCATION for the whole run (see :meth:`export_advertised`).
-        self._advertised: dict[str, bytes] = {}
+        self._advertised: dict[str, tuple[ServiceRecord, str, str]] = {}
         self._listener = runtime.node.tcp.listen(port, self._on_connection)
         self.serves = 0
 
@@ -335,8 +338,13 @@ class DescriptionExporter:
 
     def _publish(self, store, record: ServiceRecord, session_id: int) -> str:
         path = f"/translated/{record.service_type}-{session_id}/description.xml"
-        store(path, self._render(record, path, str(session_id)))
+        store(path, (record, path, str(session_id)))
         return f"http://{self.runtime.address}:{self.port}{path}"
+
+    def document(self, path: str) -> bytes | None:
+        """The description document served at ``path``, or None."""
+        entry = self._documents.get(path) or self._advertised.get(path)
+        return None if entry is None else self._render(*entry)
 
     @staticmethod
     def _render(record: ServiceRecord, path: str, session: str) -> bytes:
@@ -370,7 +378,7 @@ class DescriptionExporter:
                 if not isinstance(message, HttpRequest):
                     continue
                 path = message.target.split("?")[0]
-                document = self._documents.get(path) or self._advertised.get(path)
+                document = self.document(path)
                 if document is None:
                     connection.send(HttpResponse(status=404, reason="Not Found").render())
                     continue

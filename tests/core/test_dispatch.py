@@ -118,6 +118,26 @@ class TestTargetSelection:
         targets = indiss.policy.select_targets(indiss, self._session(indiss))
         assert set(targets) == set(indiss.units.values())
 
+    def test_lookup_record_skips_the_requesters_own_protocol(self, net):
+        from repro.sdp.base import ServiceRecord
+
+        indiss = self._indiss(net)
+        policy, cache = indiss.policy, indiss.cache
+        slp, upnp, jini = (
+            ServiceRecord(service_type="clock", url=f"http://{sdp}/c", source_sdp=sdp)
+            for sdp in ("slp", "upnp", "jini")
+        )
+        for record in (slp, upnp, jini):
+            cache.store(record)
+        assert policy.lookup_record(indiss, "slp", "clock") is upnp
+        assert policy.lookup_record(indiss, "upnp", "clock") is slp
+        assert policy.lookup_record(indiss, "slp", "printer") is None
+        only_slp = ServiceRecord(service_type="fax", url="http://slp/f", source_sdp="slp")
+        cache.store(only_slp)
+        assert policy.lookup_record(indiss, "slp", "fax") is None
+        # One cache lookup per call, hit or miss, whatever the filter keeps.
+        assert (cache.hits, cache.misses) == (3, 1)
+
 
 def run_slp_search(net, ua, service_type="service:clock", wait_us=400_000):
     done = []

@@ -1,8 +1,9 @@
 """`TrafficMonitor`'s coalesced window against the per-sample original.
 
-The monitor keeps its utilization window as ``[time_us, bytes]`` buckets,
-merging frames recorded in the same µs.  The reference below is the
-monitor it replaced: one sample per frame, evicted one at a time.  Every
+The monitor keeps its utilization window as parallel time and byte
+columns of buckets, merging frames recorded in the same µs.  The
+reference below is the monitor it replaced: one sample per frame,
+evicted one at a time.  Every
 answer, counter and total must agree on random record/query sequences,
 including repeated µs, gaps longer than the window, and frames booked at
 an earlier time than the newest one (cross-shard frames are recorded at
@@ -179,8 +180,68 @@ def test_frames_in_one_microsecond_share_a_bucket():
     for _ in range(5):
         monitor.record(10, 1900, 100, "udp", True)
     monitor.record(11, 1900, 7, "udp", True)
-    assert len(monitor._recent) == 2
+    assert monitor.bytes_in_window(11, 0) == 7
     assert monitor.bytes_in_window(11, 1) == 507
+    # The horizon passing 10 µs evicts all five frames booked there at once.
+    monitor.record(10 + RETENTION_US + 1, 427, 3, "udp", False)
+    assert monitor.bytes_in_window(10 + RETENTION_US + 1, RETENTION_US) == 10
     monitor.record(11 + RETENTION_US + 1, 427, 3, "udp", False)
-    assert monitor.bytes_in_window(11 + RETENTION_US + 1, RETENTION_US) == 3
-    assert monitor.total_messages == 7 and monitor.total_bytes == 510
+    assert monitor.bytes_in_window(11 + RETENTION_US + 1, RETENTION_US) == 6
+    assert monitor.total_messages == 8 and monitor.total_bytes == 513
+    assert monitor.port(1900).multicast_messages == 6
+
+
+#: One burst of a long run: frames at distinct or repeated µs, some
+#: booked earlier than the newest one.
+BURST = st.lists(
+    st.tuples(
+        st.one_of(
+            st.just(0),
+            st.integers(min_value=1, max_value=RETENTION_US // 8),
+            st.integers(min_value=-RETENTION_US // 2, max_value=-1),
+        ),
+        st.integers(min_value=1, max_value=1500),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@given(
+    bursts=st.lists(
+        st.tuples(BURST, st.integers(min_value=RETENTION_US // 2, max_value=3 * RETENTION_US)),
+        min_size=6, max_size=12,
+    ),
+    queries=st.lists(
+        st.tuples(
+            st.integers(min_value=-RETENTION_US, max_value=RETENTION_US),
+            st.integers(min_value=0, max_value=RETENTION_US),
+        ),
+        min_size=1, max_size=4,
+    ),
+)
+def test_long_runs_across_compactions_answer_like_the_sample_deque(bursts, queries):
+    """Runs long enough to cut the dead prefix off the columns many times.
+
+    Each burst ends with a gap of at least half the retention, so the
+    next frames evict most or all of the buckets before them and the
+    head passes half the columns.  Late buckets are booked inside
+    bursts, so some are still live when the columns are cut and others
+    arrive right after a cut."""
+    monitor = TrafficMonitor(80_000, window_us=RETENTION_US)
+    reference = SampleDequeMonitor(80_000, RETENTION_US)
+    clock = newest = 0
+    for burst, gap in bursts:
+        for step, size in burst:
+            clock = max(0, clock + step)
+            newest = max(newest, clock)
+            for target in (monitor, reference):
+                target.record(clock, 1900, size, "udp", False)
+            for offset, window in queries:
+                now = max(0, newest + offset)
+                assert monitor.bytes_in_window(now, window) == \
+                    reference.bytes_in_window(now, window), (clock, now, window)
+        clock = newest + gap
+    for window in (1, RETENTION_US // 2, RETENTION_US):
+        assert monitor.utilization(newest, window) == reference.utilization(newest, window)
+    assert monitor.total_messages == reference.total_messages
+    assert monitor.total_bytes == reference.total_bytes

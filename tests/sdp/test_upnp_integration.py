@@ -177,6 +177,30 @@ class TestNotify:
         # initial burst + 3 periodic bursts, several targets each
         assert len(count) >= 12
 
+    def test_repeated_notify_refreshes_the_entry_in_place(self, net):
+        from repro.sdp.upnp.ssdp import SsdpKind, SsdpMessage
+
+        cp = UpnpControlPoint(net.add_node("client"))
+        make_clock_device(net.add_node("device"), advertise=True, notify_period_us=500_000)
+        seen = []
+        cp.on_alive = lambda entry: seen.append((entry, entry.last_seen_us))
+        net.run(duration_us=1_600_000)
+        by_usn = {}
+        for entry, _ in seen:
+            assert by_usn.setdefault(entry.usn, entry) is entry
+            assert cp.known_devices[entry.usn] is entry
+        assert len(seen) > len(by_usn)  # every repeat reused its entry
+        for entry in by_usn.values():
+            assert entry.last_seen_us == max(t for e, t in seen if e is entry)
+        # A changed LOCATION replaces the entry instead.
+        usn, entry = next(iter(cp.known_devices.items()))
+        moved = cp._remember(SsdpMessage(
+            kind=SsdpKind.ALIVE, target=entry.target, usn=usn,
+            location=entry.location + "?moved", max_age_s=entry.max_age_s,
+        ))
+        assert moved is not entry and cp.known_devices[usn] is moved
+        assert moved.location.endswith("?moved") and entry.location == moved.location[:-6]
+
 
 class TestSoapControl:
     def test_get_time(self, world):

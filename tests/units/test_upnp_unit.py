@@ -292,4 +292,4 @@ def test_exported_descriptions_match_a_direct_render(exports):
     for record, session_id in exports * 3:
         location = exporter.export(record, session_id)
         path = location.split(":4104", 1)[1]
-        assert exporter._documents[path] == _reference_description(record, session_id)
+        assert exporter.document(path) == _reference_description(record, session_id)
