@@ -9,7 +9,7 @@ three engineered hot paths:
   pointed at;
 * ``metro_backbone`` at 5000 nodes — chained district backbones, per
   district fleets, inter-district gateways, and per-leaf query chatter;
-  the scale workload the compacting wheel scheduler, route-plan cache,
+  the scale workload the compacting event queue, route-plan cache,
   and parse-once receive path exist for;
 * ``media_city`` at 3000 nodes — the UPnP-dominated parse-once workload
   (device fleets, control-point and GENA chatter, SLP islands, a Jini
@@ -18,8 +18,8 @@ three engineered hot paths:
   ``parse_dedup_rate_*`` attribution stay auditable side by side;
 * ``district_grid`` at 20000+ nodes — the genuinely multi-district world
   (unbridged chained backbones), measured four ways: single-threaded
-  wheel, the district-sharded partitioned engine in-process, the same
-  single-wheel run with the flight recorder on (the ``_traced`` row,
+  scheduler, the district-sharded partitioned engine in-process, the same
+  single-scheduler run with the flight recorder on (the ``_traced`` row,
   whose ``overhead_vs_untraced`` keeps the recording cost auditable),
   and the forked one-process-per-district backend.  The single and
   partitioned rows are the gated A/B pair; the ``_mp`` row reports the
@@ -220,7 +220,7 @@ DISTRICT_GRID_PARAMS = dict(
 def run_district_grid(nodes: int = 20_000) -> dict:
     """The partitioned-engine A/B tier on the multi-district world.
 
-    Three rows over the identical spec: the single-threaded wheel, the
+    Three rows over the identical spec: the single-threaded scheduler, the
     in-process district-sharded engine (both gated — they fire identical
     schedules, so the delta is pure engine overhead), and the forked
     one-worker-per-district backend, reported for the record with the
@@ -233,7 +233,7 @@ def run_district_grid(nodes: int = 20_000) -> dict:
     # would otherwise bias the traced-vs-untraced delta below.
     run_world(spec, seed=0)
     results = {key: _measure(spec, seed=0, name=key, runs=2)}
-    # The flight-recorder A/B row: the identical single-wheel run with
+    # The flight-recorder A/B row: the identical single-scheduler run with
     # metrics + trace recording on, measured back-to-back with the
     # untraced baseline so host drift doesn't pollute the delta.
     # ``overhead_vs_untraced`` is the fractional wall-time cost of

@@ -122,7 +122,7 @@ class Network:
         self.parse_stats: dict[str, ParseCounter] = {}
         #: Attached :class:`~repro.net.parallel.ShardedScheduler`, if the
         #: world was built for the partitioned engine (``scheduler`` is then
-        #: the same object).  ``None`` means classic single-wheel execution.
+        #: the same object).  ``None`` means classic single-scheduler execution.
         self.engine: "ShardedScheduler | None" = None
         #: Partition map frozen at build completion by partition-aware
         #: builders (both engines; see :meth:`freeze_partitions`).  ``None``
@@ -297,7 +297,7 @@ class Network:
                 if pid is not None and pid != node._pid:
                     raise NetworkError(
                         f"cannot reattach {node.name!r} to district {pid}: its "
-                        f"timers live on district {node._pid}'s wheel"
+                        f"timers live on district {node._pid}'s scheduler"
                     )
         self._nodes[node.address] = node
         for segment in targets:
@@ -337,7 +337,7 @@ class Network:
           silently instead of raising into the surviving event loop.
 
         Like detach, a crashed host keeps its home district: its (now
-        inert) timers stay on the same wheel, so the partitioned engines
+        inert) timers stay on the same shard, so the partitioned engines
         schedule identically.  No RNG is drawn anywhere on this path — a
         crash armed but never fired stays bit-identical to a crash-free
         run.
@@ -375,7 +375,7 @@ class Network:
 
         ``segments`` defaults to the host's crash-time placement.  The
         same district guard as :meth:`reattach_node` applies — a restarted
-        host's timers still live on its home wheel.  The restarted
+        host's timers still live on its home shard.  The restarted
         instance mints session ids from a fresh block
         (``(RESTART_SESSION_BLOCK + n) * SESSION_ID_BLOCK`` for the n-th
         restart), so no session id is ever reused across the crash; the
@@ -397,7 +397,7 @@ class Network:
                 if pid is not None and pid != node._pid:
                     raise NetworkError(
                         f"cannot restart {node.name!r} on district {pid}: its "
-                        f"timers live on district {node._pid}'s wheel"
+                        f"timers live on district {node._pid}'s scheduler"
                     )
         del self._crash_info[node.address]
         self._nodes[node.address] = node
@@ -585,7 +585,7 @@ class Network:
         Partition-aware builders call this once the topology is complete.
         The map is deliberately *not* recomputed on later attach/detach:
         a churned-out gateway must keep its home district (its timers keep
-        firing on the same wheel, and the single-threaded oracle must make
+        firing on the same shard, and the single-threaded oracle must make
         identical delay decisions), so membership is a build-time property.
 
         A multi-district map also replaces session-id block 0 with one
@@ -649,7 +649,7 @@ class Network:
         return node._pid or 0
 
     def scheduler_for(self, node: Node) -> Scheduler:
-        """The wheel a node's events belong on: its district's shard under
+        """The scheduler a node's events belong on: its district's shard under
         the partitioned engine, the shared scheduler otherwise.  Every
         node-level scheduling convenience routes through here."""
         engine = self.engine
@@ -945,7 +945,7 @@ class Network:
         sockets = stack._ports.get(datagram.destination.port)
         if not sockets:
             return
-        post = self.scheduler_for(node).post
+        schedule = self.scheduler_for(node).schedule
         latency = segment.latency
         size = len(datagram.payload)
         loss = None if loopback else self.loss
@@ -956,7 +956,7 @@ class Network:
             if loss is not None and loss.should_drop():
                 continue
             delay = prefix + latency.delay_us(size, loopback)
-            post(delay, partial(deliver, sock, datagram), "udp-delivery")
+            schedule(delay, partial(deliver, sock, datagram), "udp-delivery")
 
     def _deliver_lossy(self, loss, segment: Segment, sock, datagram: Datagram) -> None:
         # Adversity: the per-edge drop is drawn at delivery-event time on
@@ -1003,7 +1003,7 @@ class Network:
                     return
             self._deliver_to_sockets(target, datagram, False, final, 0)
 
-        self.scheduler_for(target).post(prefix, on_trunk, label="udp-trunk")
+        self.scheduler_for(target).schedule(prefix, on_trunk, label="udp-trunk")
 
     def _deliver_cross(
         self,
@@ -1073,7 +1073,7 @@ class Network:
         self._book((final,), datagram, now, False)
         # A fresh frame: parse-once restarts among the target's sockets.
         fresh = self._frame(datagram.payload, datagram.source, destination)
-        self.scheduler.post(
+        self.scheduler.schedule(
             delay,
             partial(self._deliver_cross_frame, destination.host, destination.port, fresh),
             label=CROSS_LABEL,
@@ -1118,7 +1118,7 @@ class Network:
             # oracle books it inline.
             self._book((final,), datagram, frame.send_time_us, False)
         shard = self.engine.shards[frame.dst_pid]
-        shard.post(
+        shard.schedule(
             frame.due_us - shard._now_us,
             partial(self._deliver_cross_frame, frame.dest_host, frame.dest_port, datagram),
             label=CROSS_LABEL,
@@ -1142,7 +1142,7 @@ class Network:
         # Multicast is segment-scoped, so every receiver shares the
         # sender's district: its shard carries the whole fan-out (and this
         # also keeps workload-time sends off the engine façade).
-        post = self.scheduler_for(sender).post
+        schedule = self.scheduler_for(sender).schedule
         self._book(segments, datagram, now, True)
         loss = self.loss
         for segment in segments:
@@ -1150,9 +1150,9 @@ class Network:
             fan_out = partial(self._fan_out, datagram, sender, segment)
             if loss is not None and loss.should_drop():
                 fan_out = _dropped
-            post(lan_delay, fan_out, "udp-mcast")
+            schedule(lan_delay, fan_out, "udp-mcast")
         loop_delay = segments[0].latency.delay_us(size, True)
-        post(loop_delay, partial(self._fan_out, datagram, sender), "udp-mcast-loop")
+        schedule(loop_delay, partial(self._fan_out, datagram, sender), "udp-mcast-loop")
 
     def _fan_out(
         self, datagram: Datagram, sender: Node, segment: Optional[Segment] = None
@@ -1222,19 +1222,12 @@ class Network:
             self._obs_sample_wheel()
 
     def _obs_sample_wheel(self) -> None:
-        """Wheel-occupancy gauges for the classic single scheduler.
+        """Queue-depth gauge for the classic single scheduler.
 
-        Sampled at run boundaries only (the wheel internals stay out of
-        the hot path); the partitioned engine samples its shards at every
-        window barrier instead.
+        Sampled at run boundaries only; the partitioned engine samples its
+        shards at every window barrier instead.
         """
-        sch = self.scheduler
-        metrics = self.obs.metrics
-        metrics.gauge("net.wheel.pending").set(sch.pending)
-        occ0 = getattr(sch, "_occ0", 0)
-        occ1 = getattr(sch, "_occ1", 0)
-        metrics.gauge("net.wheel.slots_near").set(bin(occ0).count("1"))
-        metrics.gauge("net.wheel.slots_far").set(bin(occ1).count("1"))
+        self.obs.metrics.gauge("net.wheel.pending").set(self.scheduler.pending)
 
 
 def _dropped() -> None:

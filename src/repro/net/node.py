@@ -37,7 +37,7 @@ class Node:
         self.segments: list["Segment"] = []
         #: Cached district id under a partition-aware network; remembered
         #: across detach windows so a churned-out host keeps scheduling on
-        #: its home partition's wheel.
+        #: its home partition's shard.
         self._pid: int | None = None
 
     @property
@@ -75,10 +75,6 @@ class Node:
 
     def schedule(self, delay_us: int, callback: Callable[[], None], label: str = "") -> EventHandle:
         return self.network.scheduler_for(self).schedule(delay_us, callback, label=label)
-
-    def post(self, delay_us: int, callback: Callable[[], None], label: str = "") -> None:
-        """Fire-and-forget :meth:`schedule` (see :meth:`Scheduler.post`)."""
-        self.network.scheduler_for(self).post(delay_us, callback, label=label)
 
     def timer(self, callback: Callable[[], None]) -> Timer:
         return Timer(self.network.scheduler_for(self), callback)

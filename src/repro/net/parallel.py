@@ -1,7 +1,7 @@
 """The partitioned execution engine: district shards + conservative lookahead.
 
 The single-threaded :class:`~repro.net.simclock.Scheduler` is the golden
-oracle; this module runs the same simulation as K per-district wheels that
+oracle; this module runs the same simulation as K per-district schedulers that
 advance in *windows* bounded by the topology's *lookahead* — the minimum
 latency of any cross-district link (see ``partition.py``).  The argument is
 the classic conservative one (Chandy/Misra/Bryant): a frame emitted at time
@@ -22,7 +22,7 @@ Two backends share this window protocol:
   window edges are pure arithmetic over (frontier, lookahead, target), so
   every worker derives the same barrier sequence without negotiation.
 
-Determinism: within a shard, events keep the wheel's exact ``(time_us,
+Determinism: within a shard, events keep the scheduler's exact ``(time_us,
 seq)`` total order.  Cross frames are injected at barriers in a canonical
 sort — ``(due_us, source partition, per-source sequence)`` — and the
 per-source sequence numbers are assigned at *send* time, so the inline and
@@ -78,10 +78,10 @@ class CrossFrame:
 
 
 class ShardedScheduler:
-    """K per-district :class:`Scheduler` wheels behind the one-wheel API.
+    """K per-district :class:`Scheduler` shards behind the one-scheduler API.
 
     ``Network`` code never sees the difference: ``now_us`` / ``schedule`` /
-    ``post`` / ``run_until`` behave like the plain scheduler's.  Scheduling
+    ``run_until`` behave like the plain scheduler's.  Scheduling
     calls made while a shard's window is executing land on that shard
     (``_current``); calls made between windows must carry a node context —
     ``Network.scheduler_for(node)`` hands out the node's shard directly,
@@ -178,13 +178,6 @@ class ShardedScheduler:
         shard = self._target()
         return shard.schedule(time_us - shard._now_us, callback, label=label)
 
-    def post(self, delay_us: int, callback, label: str = "") -> None:
-        self._target().post(delay_us, callback, label=label)
-
-    def reschedule(self, handle: EventHandle, delay_us: int) -> EventHandle:
-        # The handle remembers its owning shard; no context needed.
-        return handle._scheduler.reschedule(handle, delay_us)
-
     def drain(self, handles: Iterable[EventHandle]) -> None:
         for handle in handles:
             handle.cancel()
@@ -259,7 +252,7 @@ class ShardedScheduler:
         instant each shard actually fired at — the busy/stall split.  Per
         district and window this emits an ``engine.window`` span, an
         ``engine.stall`` span for the idle tail spent waiting on the
-        barrier, and a wheel-occupancy counter sample at the edge.
+        barrier, and a queue-occupancy counter sample at the edge.
         """
         trace = obs.trace
         metrics = obs.metrics

@@ -291,7 +291,7 @@ class TcpStack:
             != network.partition_of_node(self._node)
         ):
             # The stream abstraction schedules both directions on one
-            # wheel; across districts that would race the lookahead
+            # scheduler; across districts that would race the lookahead
             # window.  District-crossing scenarios use UDP (as the paper's
             # discovery traffic does).
             raise ConnectionRefusedError(

@@ -284,7 +284,7 @@ class ServiceAgent(_SlpEndpointBase):
                 attr_list=serialize_attributes(registration.attributes),
             )
             delay = self.config.timings.advert_build_us
-            self.node.post(delay, lambda a=advert: self._send_multicast(a))
+            self.node.schedule(delay, lambda a=advert: self._send_multicast(a))
 
     def _register_with_da(self, registration: SlpRegistration) -> None:
         assert self._known_da is not None
@@ -328,7 +328,7 @@ class ServiceAgent(_SlpEndpointBase):
             header=Header(FunctionId.SRVTYPERPLY, xid=request.header.xid),
             service_types=tuple(types),
         )
-        self.node.post(self.config.timings.match_us, lambda: self._send(reply, source))
+        self.node.schedule(self.config.timings.match_us, lambda: self._send(reply, source))
 
     def _handle_request(self, request: SrvRqst, source: Endpoint, was_multicast: bool) -> None:
         if self.address in request.prlist:
@@ -347,7 +347,7 @@ class ServiceAgent(_SlpEndpointBase):
             url_entries=tuple(UrlEntry(r.url, r.lifetime_s) for r in matching),
         )
         self.requests_answered += 1
-        self.node.post(self.config.timings.match_us, lambda: self._send(reply, source))
+        self.node.schedule(self.config.timings.match_us, lambda: self._send(reply, source))
 
     def _handle_attr_request(self, request: AttrRqst, source: Endpoint) -> None:
         target = None
@@ -376,7 +376,7 @@ class ServiceAgent(_SlpEndpointBase):
                 header=Header(FunctionId.ATTRRPLY, xid=request.header.xid),
                 attr_list=serialize_attributes(attrs),
             )
-        self.node.post(self.config.timings.match_us, lambda: self._send(reply, source))
+        self.node.schedule(self.config.timings.match_us, lambda: self._send(reply, source))
 
 
 def _authority_matches(requested: str, service_type: ServiceType) -> bool:
@@ -457,7 +457,7 @@ class UserAgent(_SlpEndpointBase):
         )
         search._wait_us = wait = wait_us if wait_us is not None else self.config.wait_us
         build_delay = self.config.timings.request_build_us
-        scheduler.post(build_delay, lambda: self._transmit(search, request, 0))
+        scheduler.schedule(build_delay, lambda: self._transmit(search, request, 0))
         search._timer = scheduler.schedule(build_delay + wait, search._expire, label="timer")
         return search
 
@@ -473,7 +473,7 @@ class UserAgent(_SlpEndpointBase):
         retries = self.config.retries
         if attempt < retries:
             interval = max(search._wait_us // (retries + 1), 1)
-            self.node.post(
+            self.node.schedule(
                 interval,
                 lambda: self._transmit(
                     search, replace(request, prlist=tuple(search.responders)), attempt + 1
@@ -495,7 +495,7 @@ class UserAgent(_SlpEndpointBase):
         )
         if on_reply is not None:
             self._attr_callbacks[xid] = on_reply
-        self.node.post(
+        self.node.schedule(
             self.config.timings.request_build_us, lambda: self._send_multicast(request)
         )
         return xid
@@ -514,7 +514,7 @@ class UserAgent(_SlpEndpointBase):
         )
         if on_reply is not None:
             self._type_callbacks[xid] = on_reply
-        self.node.post(
+        self.node.schedule(
             self.config.timings.request_build_us, lambda: self._send_multicast(request)
         )
         return xid
@@ -548,17 +548,17 @@ class UserAgent(_SlpEndpointBase):
                     # Unicast DA interaction: a single reply is conclusive.
                     self._finish(message.header.xid)
 
-            self.node.post(delay, deliver)
+            self.node.schedule(delay, deliver)
         elif isinstance(message, AttrRply):
             callback = self._attr_callbacks.pop(message.header.xid, None)
             if callback is not None:
                 attrs = parse_attributes(message.attr_list)
-                self.node.post(self.config.timings.reply_parse_us, lambda: callback(attrs))
+                self.node.schedule(self.config.timings.reply_parse_us, lambda: callback(attrs))
         elif isinstance(message, SrvTypeRply):
             type_callback = self._type_callbacks.pop(message.header.xid, None)
             if type_callback is not None:
                 types = message.service_types
-                self.node.post(
+                self.node.schedule(
                     self.config.timings.reply_parse_us, lambda: type_callback(types)
                 )
         elif isinstance(message, DAAdvert):
@@ -630,7 +630,7 @@ class DirectoryAgent(_SlpEndpointBase):
             )
             self.registrations_accepted += 1
         ack = SrvAck(header=Header(FunctionId.SRVACK, xid=message.header.xid), error_code=error)
-        self.node.post(self.config.timings.register_us, lambda: self._send(ack, source))
+        self.node.schedule(self.config.timings.register_us, lambda: self._send(ack, source))
 
     def _handle_request(self, request: SrvRqst, source: Endpoint, was_multicast: bool) -> None:
         if self.address in request.prlist:
@@ -645,7 +645,7 @@ class DirectoryAgent(_SlpEndpointBase):
             header=Header(FunctionId.SRVRPLY, xid=request.header.xid),
             url_entries=tuple(UrlEntry(r.url, r.lifetime_s) for r in matching),
         )
-        self.node.post(self.config.timings.match_us, lambda: self._send(reply, source))
+        self.node.schedule(self.config.timings.match_us, lambda: self._send(reply, source))
 
     def send_advert_to(self, destination: Endpoint) -> None:
         advert = DAAdvert(

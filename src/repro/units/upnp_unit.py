@@ -468,6 +468,8 @@ class UpnpUnit(Unit):
         #: composed OutboundMessage).  A record the pipeline re-announces
         #: every native alive period reuses the same exported description,
         #: payload bytes, and decode hint instead of rebuilding them all.
+        #: Not a Memo: a miss draws a session id, so switching it off with
+        #: ``parse_once=False`` would shift every later session id.
         self._advert_cache: dict[tuple[str, str], tuple[tuple, object]] = {}
 
     # -- target side: foreign request -> native M-SEARCH (+ GET) -----------------

@@ -196,12 +196,12 @@ class World:
 
         ``engine`` selects the execution backend:
 
-        * ``"single"`` — the classic one-wheel scheduler.  When the spec
+        * ``"single"`` — the classic one-queue scheduler.  When the spec
           declares ``partitioned=True`` the spec's district map is still
           frozen onto the network, so cross-district delivery already
           takes the deterministic path: this run is the golden oracle the
           partitioned backends are compared against, bit for bit.
-        * ``"partitioned"`` — district-sharded wheels with conservative
+        * ``"partitioned"`` — district-sharded schedulers with conservative
           lookahead windows (:class:`~repro.net.parallel.ShardedScheduler`).
           The district map is computed from the spec *before* the network
           exists, and the built topology is cross-checked against it.

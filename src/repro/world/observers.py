@@ -23,10 +23,6 @@ from ..obs import LATENCY_BUCKETS_US, Histogram
 def hotpath_stats(world) -> dict:
     """Core hot-path counters the perf benchmarks read.
 
-    Written defensively with ``getattr`` so the same benchmark script can
-    measure a pre-optimization core (no wheel compactions, no route cache,
-    no parse memo) and report zeros instead of crashing.
-
     ``parse_dedup_rate`` is decode-level across *every* memo-aware
     receiver (native endpoints and units alike, from the network's
     per-protocol :class:`~repro.net.ParseCounter` registry); per-protocol
@@ -38,12 +34,12 @@ def hotpath_stats(world) -> dict:
     sched = net.scheduler
     units = [u for inst in world.instances for u in inst.units.values()]
     parsed = sum(u.streams_parsed for u in units)
-    shared = sum(getattr(u, "streams_shared", 0) for u in units)
-    hits = getattr(net, "route_cache_hits", 0)
-    misses = getattr(net, "route_cache_misses", 0)
+    shared = sum(u.streams_shared for u in units)
+    hits = net.route_cache_hits
+    misses = net.route_cache_misses
     row = {
         "events_fired": sched.events_fired,
-        "sched_compactions": getattr(sched, "compactions", 0),
+        "sched_compactions": sched.compactions,
         "route_cache_hits": hits,
         "route_cache_misses": misses,
         "route_cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
@@ -51,7 +47,7 @@ def hotpath_stats(world) -> dict:
         "streams_shared": shared,
         "parse_dedup_rate": shared / (parsed + shared) if parsed + shared else 0.0,
     }
-    counters = getattr(net, "parse_stats", None) or {}
+    counters = net.parse_stats
     if counters:
         decoded_total = sum(c.decoded for c in counters.values())
         shared_total = sum(c.shared for c in counters.values())

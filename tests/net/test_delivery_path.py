@@ -404,11 +404,11 @@ def row_cross_district(engine: str = "single"):
         tx.sendto(bytes(300), Endpoint(e.address, 5000))
         tx.sendto(bytes(40), Endpoint(b.address, 5000))
 
-    net.scheduler_for(a).post(1_000, burst)
-    net.scheduler_for(e).post(
+    net.scheduler_for(a).schedule(1_000, burst)
+    net.scheduler_for(e).schedule(
         3_000, lambda: back.sendto(bytes(120), Endpoint(a.address, 5000))
     )
-    net.scheduler_for(a).post(
+    net.scheduler_for(a).schedule(
         4_000, lambda: tx.sendto(bytes(50), Endpoint("192.168.1.250", 5000))
     )
     net.scheduler.run_until_idle()
@@ -515,7 +515,7 @@ def test_cross_district_frame_is_captured_at_its_send_time(engine):
     e = net.add_node("e", segment="east")
     e.udp.socket().bind(5000)
     tx = a.udp.socket()
-    net.scheduler_for(a).post(
+    net.scheduler_for(a).schedule(
         1_000, lambda: tx.sendto(bytes(300), Endpoint(e.address, 5000))
     )
     net.scheduler.run_until_idle()

@@ -1,11 +1,12 @@
-"""Scheduler-order equivalence: the timer wheel fires the exact sequence
-the classic single-heap scheduler fired.
+"""Scheduler-order equivalence: the production scheduler fires the exact
+sequence an independent single-heap oracle fires.
 
-``_ReferenceHeapScheduler`` below is the pre-wheel implementation (lazy
-cancel tombstones on one ``heapq``), kept verbatim as the ordering oracle.
-Both schedulers log every fired event as ``(label, time_us, seq)``; running
-the same scenario under each must produce identical logs *and* identical
-captured wire traces.
+``_ReferenceHeapScheduler`` below is a deliberately naive implementation
+(dataclass events with lazy-cancel tombstones on one ``heapq``, no live
+counter, no compaction), kept apart from ``repro.net.simclock`` as the
+ordering oracle.  Both schedulers log every fired event as
+``(label, time_us, seq)``; running the same scenario under each must
+produce identical logs *and* identical captured wire traces.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class _RefHandle:
 
 
 class _ReferenceHeapScheduler:
-    """The pre-wheel scheduler: one heap, lazy-cancel tombstones."""
+    """The oracle scheduler: one heap, lazy-cancel tombstones."""
 
     def __init__(self) -> None:
         self._now_us = 0
@@ -83,15 +84,6 @@ class _ReferenceHeapScheduler:
 
     def schedule_at(self, time_us, callback, label=""):
         return self.schedule(time_us - self._now_us, callback, label=label)
-
-    def post(self, delay_us, callback, label=""):
-        self.schedule(delay_us, callback, label=label)
-
-    def reschedule(self, handle, delay_us):
-        # Old semantics: a timer restart tombstones and schedules afresh.
-        event = handle._event
-        event.cancelled = True
-        return self.schedule(delay_us, event.callback, label=event.label)
 
     def _pop_next(self):
         while self._queue:
@@ -150,7 +142,7 @@ class _ReferenceHeapScheduler:
             handle.cancel()
 
 
-class _LoggingWheelScheduler(Scheduler):
+class _LoggingScheduler(Scheduler):
     def __init__(self) -> None:
         super().__init__()
         self.fire_log = []
@@ -180,7 +172,7 @@ def test_wheel_fires_identical_event_sequence(monkeypatch, name):
         monkeypatch, _ReferenceHeapScheduler, spec, seed=2
     )
     wheel_log, wheel_trace, wheel_outcome = _run_with_scheduler(
-        monkeypatch, _LoggingWheelScheduler, spec, seed=2
+        monkeypatch, _LoggingScheduler, spec, seed=2
     )
     assert len(ref_log) > 20, "scenario fired suspiciously few events"
     assert wheel_log == ref_log
@@ -190,21 +182,21 @@ def test_wheel_fires_identical_event_sequence(monkeypatch, name):
 
 
 def test_wheel_matches_reference_on_adversarial_timer_mix():
-    """Randomized schedule/cancel/restart mix across all wheel levels."""
+    """Randomized schedule/cancel mix across the old wheel's levels."""
     import random
 
     rng = random.Random(1234)
     ref = _ReferenceHeapScheduler()
-    wheel = _LoggingWheelScheduler()
+    wheel = _LoggingScheduler()
     for sched in (ref, wheel):
         rng_local = random.Random(99)
         handles = []
 
         def spawn(depth, sched=sched, rng_local=rng_local, handles=handles):
-            # Delays hit ready (0), near wheel (us..ms), far wheel
+            # Delays span the levels of the timer wheel this scheduler
+            # replaced: same instant (0), near wheel (us..ms), far wheel
             # (hundreds of ms) and overflow (minutes), including values
-            # around the 2^18us far-granule boundary so far-wheel pours
-            # collide with near-wheel content in the same granule.
+            # around its 2^18us far-granule boundary.
             delay = rng_local.choice(
                 [0, 3, 700, 12_000, 180_000, 262_000, 262_300, 400_000,
                  524_100, 524_500, 30_000_000, 120_000_000]

@@ -22,9 +22,9 @@ def reference_run_until(sched: Scheduler, time_us: int) -> None:
         sched._now_us = time_us
 
 
-#: Delays around the wheel boundaries: same instant, near-granule edges
-#: (1024 us), the near horizon (262 ms), the far horizon (~67 s) and the
-#: overflow heap beyond it.
+#: Delays around the boundaries of the timer wheel the heap replaced: same
+#: instant, near-granule edges (1024 us), the near horizon (262 ms), the far
+#: horizon (~67 s) and the overflow heap beyond it.
 DELAY = st.one_of(
     st.sampled_from([0, 0, 1, 1023, 1024, 1025, 262_143, 262_144, 300_000,
                      67_108_863, 67_108_864, 70_000_000, 200_000_000]),
@@ -32,7 +32,7 @@ DELAY = st.one_of(
 )
 #: One action a callback (or the initial setup) performs.
 ACTION = st.tuples(
-    st.sampled_from(["schedule", "post", "cancel", "timer", "restart", "timer_cancel"]),
+    st.sampled_from(["schedule", "untracked", "cancel", "timer", "rearm", "timer_cancel"]),
     DELAY,
     st.integers(0, 31),
 )
@@ -48,8 +48,8 @@ STEPS = st.lists(
 class Program:
     """A scheduler plus the deterministic world the scripts act on."""
 
-    #: Schedule/post/timer/restart actions one program may take, so
-    #: callbacks (a timer restarting itself, say) cannot run away.
+    #: Schedule/timer/re-arm actions one program may take, so callbacks
+    #: (a timer re-arming itself, say) cannot run away.
     BUDGET = 120
 
     def __init__(self, scripts):
@@ -63,7 +63,7 @@ class Program:
 
     def apply(self, actions) -> None:
         for kind, delay, ref in actions:
-            if kind in ("schedule", "post", "timer", "restart"):
+            if kind in ("schedule", "untracked", "timer", "rearm"):
                 if self.arms >= self.BUDGET:
                     continue
                 self.arms += 1
@@ -72,8 +72,8 @@ class Program:
                     self.sched.schedule(delay, self._callback(), label=f"e{self.created}")
                 )
                 self.created += 1
-            elif kind == "post":
-                self.sched.post(delay, self._callback(), label=f"p{self.created}")
+            elif kind == "untracked":
+                self.sched.schedule(delay, self._callback(), label=f"p{self.created}")
                 self.created += 1
             elif kind == "cancel" and self.handles:
                 self.handles[ref % len(self.handles)].cancel()
@@ -82,8 +82,8 @@ class Program:
                 timer.start(delay)
                 self.timers.append(timer)
                 self.created += 1
-            elif kind == "restart" and self.timers:
-                self.timers[ref % len(self.timers)].restart(delay)
+            elif kind == "rearm" and self.timers:
+                self.timers[ref % len(self.timers)].start(delay)
             elif kind == "timer_cancel" and self.timers:
                 self.timers[ref % len(self.timers)].cancel()
 
@@ -124,7 +124,7 @@ def test_callbacks_posting_for_the_current_instant_fire_in_the_same_run():
 
         def chain(sched=sched, depth=0):
             if depth < 5:
-                sched.post(0, lambda: chain(sched, depth + 1), label=f"d{depth}")
+                sched.schedule(0, lambda: chain(sched, depth + 1), label=f"d{depth}")
 
         sched.schedule(10, chain, label="root")
         sched.schedule(10, lambda: None, label="tie")
@@ -137,8 +137,8 @@ def test_callbacks_posting_for_the_current_instant_fire_in_the_same_run():
 
 
 def test_compaction_inside_a_callback_keeps_the_loops_in_step():
-    # Cancelling most of the ready heap from a callback compacts it into a
-    # new list mid-run; the loop must keep popping from the live heap.
+    # Cancelling most of the queue from a callback compacts it mid-run; the
+    # loop must keep popping from the compacted heap.
     fast, slow = Scheduler(), Scheduler()
     for sched, run in ((fast, Scheduler.run_until), (slow, reference_run_until)):
         sched.fire_log = []

@@ -1,4 +1,11 @@
-"""Wheel-specific scheduler behaviour: levels, compaction, timer reuse."""
+"""Scheduler ordering, counters, compaction and timer re-arm.
+
+The delays sit on the boundaries of the hierarchical timer wheel the
+scheduler used to be (1.024 ms near granules, a ~262 ms near horizon, a
+~67 s far horizon, an overflow heap beyond it).  The event heap has no
+levels, but those inputs stay the sharpest edge cases for its
+``(time_us, seq)`` contract.
+"""
 
 import pytest
 
@@ -93,18 +100,21 @@ def test_compaction_threshold_not_hit_by_few_cancels():
 
 
 def test_timer_restart_reuses_wheel_entry():
+    """Re-arming an armed timer fires it once, at the new time, under the
+    sequence number a fresh schedule would have drawn."""
     sched = Scheduler()
-    fired = []
-    timer = Timer(sched, lambda: fired.append(sched.now_us))
+    sched.fire_log = []
+    timer = Timer(sched, lambda: None)
     timer.start(50_000)
-    entry = timer._handle._event
-    timer.restart(80_000)
-    # Fast path: same record, re-sequenced, nothing tombstoned.
-    assert timer._handle._event is entry
+    timer.start(80_000)
     assert sched.pending == 1
-    assert not entry.cancelled
     sched.run_until_idle()
-    assert fired == [80_000]
+    fresh = Scheduler()
+    fresh.fire_log = []
+    fresh.schedule(50_000, lambda: None).cancel()
+    fresh.schedule(80_000, lambda: None, label="timer")
+    fresh.run_until_idle()
+    assert sched.fire_log == fresh.fire_log == [("timer", 80_000, 1)]
 
 
 def test_timer_start_on_armed_timer_behaves_like_restart():
@@ -119,16 +129,16 @@ def test_timer_start_on_armed_timer_behaves_like_restart():
 
 
 def test_reschedule_falls_back_when_entry_is_ready():
-    """An entry already promoted to the ready heap cannot be plucked out;
-    restart must still work (tombstone + fresh entry)."""
+    """Re-arming from inside a callback, while the armed entry is due in
+    the current granule, tombstones it and fires only the fresh entry."""
     sched = Scheduler()
     fired = []
     timer = Timer(sched, lambda: fired.append(sched.now_us))
 
     def rearm():
-        timer.restart(2_000_000)
+        timer.start(2_000_000)
 
-    timer.start(500)  # granule 0 -> ready heap immediately
+    timer.start(500)  # the wheel's granule 0
     sched.schedule(100, rearm)
     sched.run_until_idle()
     assert fired == [2_000_100]
@@ -138,9 +148,9 @@ def test_restart_across_levels():
     sched = Scheduler()
     fired = []
     timer = Timer(sched, lambda: fired.append(sched.now_us))
-    timer.start(100 * SECOND)   # overflow
-    timer.restart(300_000)      # far wheel
-    timer.restart(5_000)        # near wheel
+    timer.start(100 * SECOND)   # the wheel's overflow heap
+    timer.start(300_000)        # its far wheel
+    timer.start(5_000)          # its near wheel
     sched.run_until_idle()
     assert fired == [5_000]
     assert sched.pending == 0
@@ -218,11 +228,14 @@ def test_periodic_stop_from_callback_keeps_counters_clean():
 
 
 def test_reschedule_of_fired_handle_schedules_fresh():
+    """Cancelling a fired handle is a no-op, so cancel plus schedule on it
+    arms one fresh event with clean counters."""
     sched = Scheduler()
     fired = []
     handle = sched.schedule(10, lambda: fired.append(sched.now_us))
     sched.run_until_idle()
-    new_handle = sched.reschedule(handle, 25)
+    handle.cancel()
+    new_handle = sched.schedule(25, handle.callback)
     assert sched.pending == 1
     sched.run_until_idle()
     assert fired == [10, 35]
@@ -232,14 +245,15 @@ def test_reschedule_of_fired_handle_schedules_fresh():
 
 
 def test_reschedule_walks_near_far_overflow_and_back():
-    """One handle re-armed through every wheel level fires exactly once,
+    """One timer re-armed through every old wheel level fires exactly once,
     at the final re-arm time, with clean counters."""
     sched = Scheduler()
     fired = []
-    handle = sched.schedule(50_000, lambda: fired.append(sched.now_us))  # near
-    handle = sched.reschedule(handle, 5_000_000)        # far wheel
-    handle = sched.reschedule(handle, 500_000_000)      # overflow heap
-    handle = sched.reschedule(handle, 1_000)            # back to near
+    timer = Timer(sched, lambda: fired.append(sched.now_us))
+    timer.start(50_000)         # near wheel
+    timer.start(5_000_000)      # far wheel
+    timer.start(500_000_000)    # overflow heap
+    timer.start(1_000)          # back to near
     assert sched.pending == 1
     sched.run_until_idle()
     assert fired == [1_000]
@@ -248,13 +262,14 @@ def test_reschedule_walks_near_far_overflow_and_back():
 
 
 def test_reschedule_far_entry_after_time_advanced():
-    """Re-arming an entry parked in the far wheel while the clock sits
-    mid-run lands it relative to *now*, not relative to its old slot."""
+    """Re-arming a far-future timer while the clock sits mid-run lands it
+    relative to *now*, not relative to its old due time."""
     sched = Scheduler()
     fired = []
-    handle = sched.schedule(5_000_000, lambda: fired.append(sched.now_us))
+    timer = Timer(sched, lambda: fired.append(sched.now_us))
+    timer.start(5_000_000)
     sched.run_until(2_000_000)
-    sched.reschedule(handle, 10_000)
+    timer.start(10_000)
     sched.run_until_idle()
     assert fired == [2_010_000]
 
@@ -277,12 +292,12 @@ def test_cancel_after_fire_from_far_and_overflow_levels():
 
 
 def test_seeded_random_ops_match_heap_oracle():
-    """Randomized schedule/cancel/reschedule churn across all wheel levels
+    """Randomized schedule/cancel/re-arm churn across all old wheel levels
     fires in exactly the (time, seq) order a plain sorted oracle predicts.
 
-    The oracle mirrors the scheduler's contract: every schedule *and*
-    every reschedule consumes one fresh sequence number; cancelling or
-    re-arming an already-fired handle schedules fresh / no-ops.
+    The oracle mirrors the scheduler's contract: every schedule, re-arms
+    included, consumes one fresh sequence number; cancelling an
+    already-fired handle is a no-op, so re-arming it schedules fresh.
     """
     import random
 
@@ -324,8 +339,9 @@ def test_seeded_random_ops_match_heap_oracle():
             oracle.pop(key, None)
         for key in rng.sample(sorted(live), k=min(len(live), rng.randrange(0, 6))):
             delay = rng.randrange(0, 100_000_000)
-            live[key] = sched.reschedule(live[key], delay)
-            oracle.pop(key, None)    # fired handles reschedule fresh
+            live[key].cancel()
+            live[key] = sched.schedule(delay, live[key].callback)
+            oracle.pop(key, None)    # fired handles re-arm fresh
             oracle[key] = (now + delay, seq)
             seq += 1
         now += rng.randrange(0, 50_000_000)

@@ -293,3 +293,32 @@ def test_exported_descriptions_match_a_direct_render(exports):
         location = exporter.export(record, session_id)
         path = location.split(":4104", 1)[1]
         assert exporter.document(path) == _reference_description(record, session_id)
+
+
+def test_advert_cache_draws_one_session_id_per_record_version_with_memos_off():
+    """The NOTIFY cache stays on with ``parse_once=False``: a miss draws a
+    network session id, so an unchanged re-announced record must reuse its
+    export path and id, and only a changed record draws a new one."""
+    from dataclasses import replace
+
+    from repro.core.unit import UnitRuntime
+    from repro.net import LatencyModel, Network
+    from repro.units.upnp_unit import UpnpUnit
+
+    net = Network(latency=LatencyModel(jitter_us=0), parse_once=False, capture=True)
+    host = net.add_node("indiss")
+    unit = UpnpUnit(UnitRuntime(host))
+    record = ServiceRecord(
+        service_type="clock", url="service:clock:soap://192.168.1.5:4005/c",
+        attributes={"friendlyName": "Clock"}, source_sdp="slp",
+    )
+    for announced in (record, record, record, replace(record, lifetime_s=60)):
+        unit.advertise_record(announced)
+        net.run()
+    locations = [parse_ssdp(r.payload).location for r in net.trace if r.destination.port == 1900]
+    base = f"http://{host.address}:4104/translated/clock"
+    assert locations == [f"{base}-1/description.xml"] * 3 + [f"{base}-2/description.xml"]
+    assert sorted(unit.exporter._advertised) == [
+        "/translated/clock-1/description.xml", "/translated/clock-2/description.xml"
+    ]
+    assert net.session_id_source(host)() == 3
