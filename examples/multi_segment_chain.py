@@ -12,6 +12,8 @@ leaves segment A — the gateways re-issue the request natively on every LAN
 they are homed on, and the answers unwind back down the chain.
 """
 
+from collections import Counter
+
 from repro import Indiss, IndissConfig, Network
 from repro.sdp.slp import SlpConfig, UserAgent
 from repro.sdp.upnp import make_clock_device
@@ -65,9 +67,11 @@ def main() -> None:
     print()
 
     print("multicast confinement (frames per segment):")
-    for name, segment in net.segments.items():
-        slp = segment.traffic.port(427).multicast_messages
-        ssdp = segment.traffic.port(1900).multicast_messages
+    multicast = Counter(
+        (r.segment, r.destination.port) for r in net.trace if r.destination.is_multicast
+    )
+    for name in net.segments:
+        slp, ssdp = multicast[name, 427], multicast[name, 1900]
         print(f"  {name:6s} SLP multicast={slp:2d}  SSDP multicast={ssdp:2d}")
     client_leaks = [
         r

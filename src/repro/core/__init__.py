@@ -10,7 +10,6 @@ from .cache import CacheEntry, ServiceCache
 from .composer import ComposeError, OutboundMessage, SdpComposer
 from .dispatch import (
     AdvertisementPipeline,
-    CacheFirstPolicy,
     ClassifiedStream,
     DISPATCH_POLICIES,
     DispatchPolicy,
@@ -63,7 +62,6 @@ __all__ = [
     "AdaptationManager",
     "AdvertisementPipeline",
     "CacheEntry",
-    "CacheFirstPolicy",
     "ClassifiedStream",
     "ComposeError",
     "ConfigError",

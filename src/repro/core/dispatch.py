@@ -140,9 +140,10 @@ class DispatchPolicy:
     ) -> Optional[ServiceRecord]:
         """A cached record to answer with, or None to go to the network.
 
-        The base policy honours the legacy ``answer_from_cache`` deployment
-        flag; records learnt from the requester's own protocol are excluded
-        (the native service would have answered it directly).
+        The base policy honours the ``answer_from_cache`` deployment flag
+        (on, it is Fig. 9b's cache-first deployment); records learnt from
+        the requester's own protocol are excluded (the native service would
+        have answered it directly).
         """
         if not indiss.config.answer_from_cache:
             return None
@@ -177,18 +178,6 @@ class DispatchPolicy:
 
 class FanOutAllPolicy(DispatchPolicy):
     """The default: fan the request out to every non-origin unit."""
-
-
-class CacheFirstPolicy(DispatchPolicy):
-    """Always try the service cache before touching the network (Fig. 9b),
-    regardless of the deployment flag."""
-
-    name = "cache-first"
-
-    def cache_answer(self, indiss, session):
-        return self.lookup_record(
-            indiss, session.origin_sdp, str(session.vars.get("service_type", ""))
-        )
 
 
 class GatewayForwardPolicy(DispatchPolicy):
@@ -348,7 +337,6 @@ class ShardRingPolicy(GatewayForwardPolicy):
 
 DISPATCH_POLICIES: dict[str, type[DispatchPolicy]] = {
     FanOutAllPolicy.name: FanOutAllPolicy,
-    CacheFirstPolicy.name: CacheFirstPolicy,
     GatewayForwardPolicy.name: GatewayForwardPolicy,
     ShardRingPolicy.name: ShardRingPolicy,
 }
@@ -441,7 +429,6 @@ class AdvertisementPipeline:
 
 __all__ = [
     "AdvertisementPipeline",
-    "CacheFirstPolicy",
     "ClassifiedStream",
     "DISPATCH_POLICIES",
     "DispatchPolicy",

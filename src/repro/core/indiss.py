@@ -72,8 +72,9 @@ class IndissConfig:
     cache_discoveries: bool = True
     #: Re-announce foreign services through other units (Fig. 6 active mode).
     translate_advertisements: bool = False
-    #: Dispatch policy name ("fanout", "cache-first", "gateway-forward");
-    #: see :mod:`repro.core.dispatch` for the registry.
+    #: Dispatch policy name ("fanout", "gateway-forward", "shard-ring");
+    #: see :mod:`repro.core.dispatch` for the registry.  Cache-first
+    #: answering is ``answer_from_cache`` under any of them.
     dispatch: str = "fanout"
     #: Suppress duplicate requests (native retransmissions) within window.
     #: SLP user agents retransmit with the same XID well after the first

@@ -137,9 +137,6 @@ class Network:
         #: one attribute load and a falsy ``obs.on`` check until a builder
         #: swaps in a live recording (``World.build(record=True)``).
         self.obs = NULL_RECORDING
-        #: Per-segment (frames, bytes) counter cache for the recorder's
-        #: hottest site; see :meth:`_obs_count_frame`.
-        self._obs_frame_counters: dict = {}
         #: Adversity layer (all off by default; see :meth:`enable_faults`).
         #: Per-link loss models keyed by canonical segment pair, cut
         #: timestamps for fault-window spans, and the sticky flag that
@@ -542,8 +539,8 @@ class Network:
         return report
 
     def _obs_loss_drop(self, edge: str, segment_name: str, kind: str = "drops") -> None:
-        """Count one adversity drop, gated by district ownership like
-        :meth:`_obs_count_frame` (drops draw on the owning shard only)."""
+        """Count one adversity drop, gated by district ownership (drops
+        draw on the owning shard only)."""
         obs = self.obs
         if not obs.on:
             return
@@ -834,7 +831,7 @@ class Network:
         host = destination.host
         multicast = is_multicast(host)
         now = self.scheduler.now_us
-        self.traffic.record(now, destination.port, len(payload), "udp", multicast)
+        self.traffic.record(now, len(payload))
         datagram = self._frame(payload, source, destination, decode_hint)
         if multicast:
             self._deliver_multicast(sender, datagram, now)
@@ -843,49 +840,13 @@ class Network:
         else:
             self._deliver_unicast(sender, datagram, now)
 
-    def _obs_count_frame(self, segment: Segment, nbytes: int) -> None:
-        """Per-segment frame/byte counters (recording enabled only).
-
-        Guarded by district ownership: workload-time sends replay in every
-        forked worker, so only the district that owns the segment counts
-        the frame — which is what makes worker snapshots sum exactly to
-        the single-process totals.
-
-        This is the recorder's hottest site (every frame on every
-        segment), so the ownership check and the labeled-key build run
-        once per segment: the resolved (frames, bytes) counter pair is
-        cached, an unowned segment caches the empty tuple.  Workers clear
-        the cache when they restrict ownership post-fork.
-        """
-        pair = self._obs_frame_counters.get(segment.name)
-        if pair is None:
-            obs = self.obs
-            pmap = self.partition_map
-            pid = pmap.pid_of.get(segment.name, 0) if pmap is not None else 0
-            if obs.owns(pid):
-                metrics = obs.metrics
-                pair = (
-                    metrics.counter("net.segment.frames", segment=segment.name),
-                    metrics.counter("net.segment.bytes", segment=segment.name),
-                )
-            else:
-                pair = ()
-            self._obs_frame_counters[segment.name] = pair
-        if pair:
-            pair[0].inc()
-            pair[1].inc(nbytes)
-
-    def _book(self, segments, datagram: Datagram, now: int, multicast: bool) -> None:
+    def _book(self, segments, datagram: Datagram, now: int) -> None:
         """Book one frame on each of ``segments``: traffic monitors, then
-        the recorder's frame counters and the wire trace when on."""
+        the wire trace when capturing."""
         payload = datagram.payload
         size = len(payload)
-        port = datagram.destination.port
         for segment in segments:
-            segment.traffic.record(now, port, size, "udp", multicast)
-        if self.obs.on:
-            for segment in segments:
-                self._obs_count_frame(segment, size)
+            segment.traffic.record(now, size)
         if self._capture:
             for segment in segments:
                 self.trace.append(
@@ -901,13 +862,13 @@ class Network:
         host = datagram.destination.host
         if host == sender.address or is_loopback(host):
             home = sender.segments[0]
-            self._book((home,), datagram, now, False)
+            self._book((home,), datagram, now)
             self._deliver_to_sockets(sender, datagram, True, home, 0)
             return
         target = self._nodes.get(host)
         route = None if target is None else self._route_segments(sender, target)
         if route is None:
-            self._book(sender.segments[:1], datagram, now, False)
+            self._book(sender.segments[:1], datagram, now)
             self.unrouted += 1
             return
         traversed, link_latency, link_pairs = route
@@ -924,7 +885,7 @@ class Network:
                     sender, datagram, traversed, link_latency, src_pid, dst_pid, now
                 )
                 return
-        self._book(traversed, datagram, now, False)
+        self._book(traversed, datagram, now)
         if link_pairs and self._adversity:
             self._deliver_trunk(target, datagram, traversed, link_latency, link_pairs)
             return
@@ -1038,7 +999,7 @@ class Network:
         final = traversed[-1]
         pid_of = self.partition_map.pid_of
         self._book(
-            [s for s in traversed if pid_of.get(s.name) == src_pid], datagram, now, False
+            [s for s in traversed if pid_of.get(s.name) == src_pid], datagram, now
         )
         delay = (
             sum(s.det_delay_us(size) for s in traversed[:-1])
@@ -1070,7 +1031,7 @@ class Network:
         # engine) draws once per frame here.
         if self.loss is not None and self.loss.should_drop():
             return
-        self._book((final,), datagram, now, False)
+        self._book((final,), datagram, now)
         # A fresh frame: parse-once restarts among the target's sockets.
         fresh = self._frame(datagram.payload, datagram.source, destination)
         self.scheduler.schedule(
@@ -1116,7 +1077,7 @@ class Network:
         if final is not None:
             # Booked at its (earlier) send time, like the single-threaded
             # oracle books it inline.
-            self._book((final,), datagram, frame.send_time_us, False)
+            self._book((final,), datagram, frame.send_time_us)
         shard = self.engine.shards[frame.dst_pid]
         shard.schedule(
             frame.due_us - shard._now_us,
@@ -1143,7 +1104,7 @@ class Network:
         # sender's district: its shard carries the whole fan-out (and this
         # also keeps workload-time sends off the engine façade).
         schedule = self.scheduler_for(sender).schedule
-        self._book(segments, datagram, now, True)
+        self._book(segments, datagram, now)
         loss = self.loss
         for segment in segments:
             lan_delay = segment.latency.delay_us(size, False)
@@ -1201,7 +1162,7 @@ class Network:
     def _deliver_broadcast(self, sender: Node, datagram: Datagram, now: int) -> None:
         delivered: set[str] = set()
         for segment in sender.segments:
-            self._book((segment,), datagram, now, False)
+            self._book((segment,), datagram, now)
             for node in segment.nodes:
                 if node.address in delivered:
                     continue

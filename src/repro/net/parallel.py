@@ -127,9 +127,6 @@ class ShardedScheduler:
             # districts' measurements are this process's to make: restrict
             # the recording to the worker's own partitions.
             self.network.obs.restrict(self.local_pids)
-            # Ownership changed: drop counter-pair caches resolved under
-            # the parent's (unrestricted) view.
-            self.network._obs_frame_counters.clear()
 
     # -- introspection --------------------------------------------------------
 

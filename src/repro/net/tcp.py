@@ -121,9 +121,7 @@ class TcpConnection:
         scheduler = network.scheduler_for(self._node)
         arrival = max(scheduler.now_us + delay, peer._last_arrival_us + 1)
         peer._last_arrival_us = arrival
-        network.traffic.record(
-            scheduler.now_us, self.remote.port, len(data), "tcp", multicast=False
-        )
+        network.traffic.record(scheduler.now_us, len(data))
         network.trace_message("tcp", self.local, self.remote, data)
         scheduler.schedule_at(
             arrival, lambda: peer._receive(data, memo), label="tcp-data"
@@ -332,7 +330,7 @@ class TcpStack:
 
         # SYN + SYN-ACK + ACK before data can flow.
         scheduler = network.scheduler_for(self._node)
-        network.traffic.record(scheduler.now_us, remote.port, 40, "tcp", False)
+        network.traffic.record(scheduler.now_us, 40)
         scheduler.schedule(3 * one_way, complete_handshake, label="tcp-handshake")
 
 

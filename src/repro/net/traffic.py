@@ -1,32 +1,23 @@
-"""Per-port traffic accounting for the simulated segment.
+"""Traffic accounting for the simulated network and each segment.
 
 INDISS's adaptation manager (paper §4.2, Figure 6) switches a passively
 deployed instance to active advertisement only "when the network traffic is
 low"; this module provides the utilization measurements that decision needs,
-plus the per-port counters used by tests and benchmark reports.
+plus the frame and byte totals the flight recorder and the benchmark ledger
+report.  Who sent a frame to which port is the capture trace's business
+(``Network(capture=True)``), not the monitor's.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass
-class PortCounters:
-    """Cumulative counters for one UDP/TCP port."""
-
-    messages: int = 0
-    bytes: int = 0
-    multicast_messages: int = 0
-    last_seen_us: int = -1
 
 
 class TrafficMonitor:
     """Counts every message the network delivers or attempts to deliver.
 
-    The monitor keeps cumulative per-port counters forever and a sliding
-    window of recent traffic for utilization queries.  ``window_us`` bounds
-    how far back :meth:`utilization` can look.
+    The monitor keeps two cumulative totals, ``total_messages`` and
+    ``total_bytes``, and a sliding window of recent traffic for
+    utilization queries.  ``window_us`` bounds how far back
+    :meth:`utilization` can look.
 
     The window is two parallel integer columns, bucket times and bucket
     byte counts, with a head index marking the oldest live bucket.  A
@@ -47,7 +38,6 @@ class TrafficMonitor:
     def __init__(self, bandwidth_bps: int | None, window_us: int = 5_000_000):
         self._bandwidth_bps = bandwidth_bps
         self._window_us = window_us
-        self._per_port: dict[int, PortCounters] = {}
         #: Bucket columns; the live window is ``[_head, len)``.
         self._times: list[int] = []
         self._sizes: list[int] = []
@@ -59,15 +49,8 @@ class TrafficMonitor:
         self.total_messages = 0
         self.total_bytes = 0
 
-    def record(self, time_us: int, port: int, size: int, transport: str, multicast: bool) -> None:
-        counters = self._per_port.get(port)
-        if counters is None:
-            counters = self._per_port[port] = PortCounters()
-        counters.messages += 1
-        counters.bytes += size
-        counters.last_seen_us = time_us
-        if multicast:
-            counters.multicast_messages += 1
+    def record(self, time_us: int, size: int) -> None:
+        """Book one frame of ``size`` bytes seen at ``time_us``."""
         self.total_messages += 1
         self.total_bytes += size
         times = self._times
@@ -92,13 +75,6 @@ class TrafficMonitor:
                 self._late -= head
                 head = 0
             self._head = head
-
-    def port(self, port: int) -> PortCounters:
-        """Counters for ``port`` (zeros if never seen)."""
-        return self._per_port.get(port, PortCounters())
-
-    def ports_seen(self) -> list[int]:
-        return sorted(p for p, c in self._per_port.items() if c.messages)
 
     def bytes_in_window(self, now_us: int, window_us: int) -> int:
         """Bytes observed during the last ``window_us`` of virtual time."""
@@ -130,15 +106,17 @@ class TrafficMonitor:
     def utilization(self, now_us: int, window_us: int = 1_000_000) -> float:
         """Fraction of segment bandwidth consumed over the trailing window.
 
-        Returns 0.0 when the model has infinite bandwidth.
+        Returns 0.0 when the model has infinite bandwidth.  Raises
+        ``ValueError`` for a window that is not positive, or, on a link
+        with finite bandwidth, longer than the monitor retains.
         """
-        if not self._bandwidth_bps:
-            return 0.0
         if window_us <= 0:
             raise ValueError("window_us must be positive")
-        bits = self.bytes_in_window(now_us, min(window_us, self._window_us)) * 8
+        if not self._bandwidth_bps:
+            return 0.0
+        bits = self.bytes_in_window(now_us, window_us) * 8
         capacity_bits = self._bandwidth_bps * window_us / 1_000_000
-        return min(bits / capacity_bits, 1.0) if capacity_bits else 0.0
+        return min(bits / capacity_bits, 1.0)
 
 
-__all__ = ["TrafficMonitor", "PortCounters"]
+__all__ = ["TrafficMonitor"]

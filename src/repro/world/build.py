@@ -42,7 +42,7 @@ from ..sdp.slp import (
     UserAgent,
 )
 from ..sdp.upnp import UpnpControlPoint, make_clock_device
-from .observers import COLLECTORS, global_metrics, note_row_latency
+from .observers import COLLECTORS, global_metrics, note_row_latency, recorded_metrics
 from .outcome import ScenarioOutcome
 from .spec import (
     BridgeSpec,
@@ -584,10 +584,7 @@ class World:
                 handle.latency_us, handle.results, self.net, extras=self.extras
             )
         if self.recording is not None and self.recording.on:
-            result.metrics = {
-                "global": global_metrics(self),
-                **self.recording.metrics.snapshot(),
-            }
+            result.metrics = {"global": global_metrics(self), **recorded_metrics(self)}
         return result
 
     # -- workload interpreter -------------------------------------------------

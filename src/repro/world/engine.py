@@ -37,7 +37,9 @@ from typing import Optional
 
 from ..obs import MetricsRegistry, sort_records
 from .build import World
-from .observers import chatter_rows_summary, ping_rows_summary, query_rows_summary
+from .observers import (
+    chatter_rows_summary, ping_rows_summary, query_rows_summary, recorded_metrics,
+)
 from .partition import spec_partition_map
 from .spec import WorldSpec
 
@@ -69,7 +71,7 @@ def _worker_result(world: World) -> dict:
         # exactly; canonical (ts, district, seq) order makes the merge
         # deterministic.
         payload["obs"] = {
-            "metrics": recording.metrics.snapshot(),
+            "metrics": recorded_metrics(world),
             "spans": sort_records(recording.trace.records),
         }
     return payload

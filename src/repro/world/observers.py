@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Optional
 
-from ..obs import LATENCY_BUCKETS_US, Histogram
+from ..obs import LATENCY_BUCKETS_US, Histogram, metric_key
 
 
 def hotpath_stats(world) -> dict:
@@ -372,6 +372,34 @@ def global_metrics(world) -> dict:
     }
 
 
+def recorded_metrics(world) -> dict:
+    """The snapshot of ``world.recording``, with the per-segment traffic
+    counters ``net.segment.frames``/``net.segment.bytes`` read from the
+    segments' traffic monitors.
+
+    A segment is reported once it has booked a frame, and only by the
+    process that owns its district: a forked worker's monitors also book
+    the workload-time sends it replays for other districts, so counting
+    owned segments only keeps worker snapshots summing exactly to the
+    single-process totals.
+    """
+    recording = world.recording
+    snapshot = recording.metrics.snapshot()
+    if not recording.metrics.on:
+        return snapshot
+    counters = snapshot["counters"]
+    pmap = world.net.partition_map
+    pid_of = pmap.pid_of if pmap is not None else {}
+    for name, segment in world.net.segments.items():
+        traffic = segment.traffic
+        if traffic.total_messages and recording.owns(pid_of.get(name, 0)):
+            labels = {"segment": name}
+            counters[metric_key("net.segment.frames", labels)] = traffic.total_messages
+            counters[metric_key("net.segment.bytes", labels)] = traffic.total_bytes
+    snapshot["counters"] = dict(sorted(counters.items()))
+    return snapshot
+
+
 #: provider name -> callable(world, **params) -> dict
 COLLECTORS: dict[str, Callable[..., dict]] = {
     "hotpaths": hotpath_stats,
@@ -402,6 +430,7 @@ __all__ = [
     "ping_stats",
     "ping_rows_summary",
     "query_rows_summary",
+    "recorded_metrics",
     "serving_stats",
     "partition_stats",
     "fleet_stats",

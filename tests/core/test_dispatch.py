@@ -4,7 +4,6 @@ semantics through a real INDISS instance."""
 import pytest
 
 from repro.core import (
-    CacheFirstPolicy,
     DispatchPolicy,
     FanOutAllPolicy,
     GatewayForwardPolicy,
@@ -76,8 +75,11 @@ class TestStreamClassifier:
 class TestPolicyRegistry:
     def test_make_policy_resolves_names(self):
         assert isinstance(make_policy("fanout"), FanOutAllPolicy)
-        assert isinstance(make_policy("cache-first"), CacheFirstPolicy)
         assert isinstance(make_policy("gateway-forward"), GatewayForwardPolicy)
+        # Fig. 9b's cache-first deployment is ``fanout`` with
+        # ``answer_from_cache=True``, not a policy of its own.
+        with pytest.raises(KeyError):
+            make_policy("cache-first")
 
     def test_unknown_policy_raises(self):
         with pytest.raises(KeyError):

@@ -198,10 +198,10 @@ def _tracked_reachable(root):
 def test_a_traffic_monitor_holds_no_tracked_object_per_bucket():
     monitor = TrafficMonitor(10_000_000, window_us=1_000_000)
     for time_us in range(0, 50, 7):
-        monitor.record(time_us, 1900, 100, "udp", True)
+        monitor.record(time_us, 100)
     baseline = _tracked_reachable(monitor)
     for time_us in range(50, 500_000, 7):  # ~71k buckets, all still live
-        monitor.record(time_us, 1900, 100, "udp", True)
+        monitor.record(time_us, 100)
     assert _tracked_reachable(monitor) == baseline
     assert monitor.bytes_in_window(500_000, 1_000_000) == monitor.total_bytes
 
@@ -218,10 +218,10 @@ def test_a_long_run_keeps_the_window_columns_bounded():
         )
 
     for time_us in range(0, 2_000, 3):
-        monitor.record(time_us, 427, 60, "udp", False)
+        monitor.record(time_us, 60)
     early = footprint()
     for time_us in range(2_000, 1_000_000, 3):
-        monitor.record(time_us, 427, 60, "udp", False)
+        monitor.record(time_us, 60)
     assert footprint() <= 2 * early
     live = [t for t in range(2_000, 1_000_000, 3) if t >= 999_999 - 1_000]
     assert monitor.bytes_in_window(999_999, 1_000) == 60 * len(live)

@@ -63,29 +63,35 @@ class TestTrafficMonitor:
             monitor.bytes_in_window(0, 2_000)
 
     def test_zero_window_rejected(self):
-        monitor = TrafficMonitor(bandwidth_bps=10_000_000)
+        for bandwidth in (10_000_000, None):
+            monitor = TrafficMonitor(bandwidth_bps=bandwidth)
+            with pytest.raises(ValueError):
+                monitor.utilization(0, window_us=0)
+
+    def test_utilization_window_longer_than_retention_rejected(self):
+        """A saturated link reads 1.0 over the whole retained window; a
+        longer window cannot be measured, so it raises rather than count
+        the unretained part as idle."""
+        monitor = TrafficMonitor(bandwidth_bps=8_000_000)  # 1 MB/s, 5 s retained
+        for time_us in range(0, 10_000_000, 10_000):
+            monitor.record(time_us, 10_000)
+        assert monitor.utilization(9_999_999, window_us=5_000_000) == 1.0
         with pytest.raises(ValueError):
-            monitor.utilization(0, window_us=0)
+            monitor.utilization(9_999_999, window_us=10_000_000)
 
     def test_no_bandwidth_means_zero_utilization(self):
         monitor = TrafficMonitor(bandwidth_bps=None)
-        monitor.record(0, 80, 100, "udp", False)
+        monitor.record(0, 100)
         assert monitor.utilization(0) == 0.0
 
     def test_old_samples_evicted(self):
         monitor = TrafficMonitor(bandwidth_bps=10_000_000, window_us=1_000)
-        monitor.record(0, 80, 100, "udp", False)
-        monitor.record(10_000, 80, 100, "udp", False)
+        monitor.record(0, 100)
+        monitor.record(10_000, 100)
         # After eviction only the recent sample remains in the window.
         assert monitor.bytes_in_window(10_000, 1_000) == 100
-        # Cumulative counters keep everything.
-        assert monitor.port(80).bytes == 200
-
-    def test_ports_seen(self):
-        monitor = TrafficMonitor(bandwidth_bps=10_000_000)
-        monitor.record(0, 427, 10, "udp", True)
-        monitor.record(0, 1900, 10, "udp", True)
-        assert monitor.ports_seen() == [427, 1900]
+        # Cumulative totals keep everything.
+        assert monitor.total_bytes == 200
 
 
 class TestEphemeralPorts:

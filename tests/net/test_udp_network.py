@@ -291,25 +291,27 @@ class TestLossAndJitter:
 
 class TestTrafficAccounting:
     def test_counters(self):
-        net = make_net()
+        net = make_net(capture=True)
         a, b = net.add_node("a"), net.add_node("b")
         b.udp.socket().bind(427).on_datagram(lambda d: None)
         a.udp.socket().bind(6000).sendto(b"0123456789", Endpoint(b.address, 427))
         net.run()
-        counters = net.traffic.port(427)
-        assert counters.messages == 1
-        assert counters.bytes == 10
+        (frame,) = net.trace
+        assert (frame.destination.port, frame.size) == (427, 10)
+        assert net.traffic.total_messages == 1
         assert net.traffic.total_bytes == 10
 
     def test_multicast_counted_once_per_send(self):
-        net = make_net()
+        net = make_net(capture=True)
         nodes = [net.add_node(f"n{i}") for i in range(3)]
         for node in nodes[:2]:
             node.udp.socket().bind(1900).join_group("239.255.255.250")
         nodes[2].udp.socket().bind(9).sendto(b"abcd", Endpoint("239.255.255.250", 1900))
         net.run()
-        assert net.traffic.port(1900).messages == 1
-        assert net.traffic.port(1900).multicast_messages == 1
+        assert net.traffic.total_messages == 1
+        (frame,) = net.trace
+        assert frame.destination.port == 1900
+        assert frame.destination.is_multicast
 
     def test_utilization_window(self):
         net = make_net()
