@@ -3,9 +3,10 @@
 A passive SLP client (listens for SAAdvert, never requests) shares the
 home network with a passive UPnP clock (multicasts NOTIFY, never answers
 what it cannot hear).  Without INDISS adaptation the two can never meet.
-The adaptation manager watches segment utilization and switches INDISS to
-the active model when the network is quiet - and back to passive when
-background traffic picks up.
+The adaptation manager watches network-wide utilization over a trailing
+1 s (it retains that window on the network's traffic monitor when it is
+built) and switches INDISS to the active model when the network is quiet
+- and back to passive when background traffic picks up.
 
 Run with::
 

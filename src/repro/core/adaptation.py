@@ -8,10 +8,11 @@ which INDISS, hosted on the service host, must become active so as to
 intercept messages generated from the local services in order to translate
 them to any known SDPs".
 
-The manager here does exactly that: it samples segment utilization and
-toggles the instance's advertisement-translation (active) mode — on when
-the segment is quiet, off when traffic exceeds the threshold, so
-interoperability never saturates the bandwidth.
+The manager here does exactly that: it samples network-wide utilization
+(or any source it is given, such as one segment's) and toggles the
+instance's advertisement-translation (active) mode — on when the network
+is quiet, off when traffic exceeds the threshold, so interoperability
+never saturates the bandwidth.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..net import Node
+from ..net import UTILIZATION_WINDOW_US, Node
 from .indiss import Indiss
 
 
 def segment_utilization(
-    node: Node, segment: str | None = None, window_us: int = 1_000_000
+    node: Node, segment: str | None = None, window_us: int = UTILIZATION_WINDOW_US
 ) -> float:
     """Trailing-window utilization of one of ``node``'s attached segments.
 
@@ -62,7 +63,7 @@ class AdaptationManager:
         indiss: Indiss,
         threshold: float = 0.05,
         check_period_us: int = 500_000,
-        window_us: int = 1_000_000,
+        window_us: int = UTILIZATION_WINDOW_US,
         readvertise_period_us: int = 1_000_000,
         utilization_source: Optional[Callable[[], float]] = None,
     ):
@@ -72,10 +73,13 @@ class AdaptationManager:
         self.threshold = threshold
         self.window_us = window_us
         #: Pluggable measurement: defaults to the network-wide monitor
-        #: (the paper's single-segment testbed); pass e.g.
+        #: (the paper's single-segment testbed), which keeps totals only
+        #: until this manager retains its window; pass e.g.
         #: ``lambda: segment_utilization(node, "leaf0")`` to adapt to one
         #: LAN of a multi-homed gateway.
         self.utilization_source = utilization_source
+        if utilization_source is None:
+            indiss.node.network.traffic.retain(window_us)
         self.active = False
         self.history: list[AdaptationEvent] = []
         self.readvertisements = 0

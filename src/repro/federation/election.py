@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..core.adaptation import segment_utilization
+from ..net import UTILIZATION_WINDOW_US
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fleet import GatewayFleet
@@ -43,9 +44,14 @@ class GatewayElector:
     def __init__(
         self,
         fleet: "GatewayFleet",
-        window_us: int = 1_000_000,
+        window_us: int = UTILIZATION_WINDOW_US,
         hold_us: int = 1_000_000,
     ):
+        if window_us > UTILIZATION_WINDOW_US:
+            raise ValueError(
+                f"election window {window_us} µs exceeds the "
+                f"{UTILIZATION_WINDOW_US} µs that segments retain"
+            )
         self.fleet = fleet
         self.window_us = window_us
         self.hold_us = hold_us

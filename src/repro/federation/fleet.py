@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..net import Network, Segment
+from ..net import UTILIZATION_WINDOW_US, Network, Segment
 from ..sdp.base import normalize_service_type
 from .election import GatewayElector
 from .gossip import CacheGossiper
@@ -226,7 +226,7 @@ class GatewayFleet:
         network: Network,
         segment: Segment | str,
         vnodes: int = 64,
-        election_window_us: int = 1_000_000,
+        election_window_us: int = UTILIZATION_WINDOW_US,
         election_hold_us: int = 1_000_000,
         wire_utilization: bool = False,
         cold_start_escalation: bool = False,

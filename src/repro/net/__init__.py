@@ -45,7 +45,7 @@ from .simclock import (
 )
 from .tcp import TcpConnection, TcpListener, TcpStack
 from .tracefmt import classify_payload, format_trace
-from .traffic import TrafficMonitor
+from .traffic import UTILIZATION_WINDOW_US, TrafficMonitor
 from .udp import (
     Datagram,
     FrameMemo,
@@ -66,6 +66,7 @@ __all__ = [
     "LOOPBACK",
     "MILLISECOND",
     "SECOND",
+    "UTILIZATION_WINDOW_US",
     "AddressError",
     "Bridge",
     "ConnectionRefusedError",

@@ -95,6 +95,8 @@ class Network:
         self.segments: dict[str, Segment] = {}
         self._nodes: dict[str, Node] = {}
         self._next_auto_subnet = 2
+        #: Network-wide totals; an adaptation manager that reads the whole
+        #: network retains a window on it when it is built.
         self.traffic = TrafficMonitor(self.latency.bandwidth_bps)
         self._capture = capture
         self.trace: list[TraceRecord] = []

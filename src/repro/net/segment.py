@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from .addressing import AddressAllocator
 from .errors import AddressError, NetworkError
 from .latency import LatencyModel
-from .traffic import TrafficMonitor
+from .traffic import UTILIZATION_WINDOW_US, TrafficMonitor
 
 if TYPE_CHECKING:  # pragma: no cover
     from .network import Network
@@ -62,8 +62,12 @@ class Segment:
         #: iterating idle background hosts.
         self._group_members: dict[tuple[str, int], list] = {}
         #: Per-segment accounting; the acceptance tests for multicast
-        #: confinement read these counters.
-        self.traffic = TrafficMonitor(self.latency.bandwidth_bps)
+        #: confinement read these counters.  The window is retained from
+        #: birth: the gateway elector reads whichever segments a member
+        #: sits on when it elects, including members that join late.
+        self.traffic = TrafficMonitor(
+            self.latency.bandwidth_bps, window_us=UTILIZATION_WINDOW_US
+        )
         #: Optional per-edge loss model (adversity layer).  ``None`` — the
         #: default — keeps delivery draw-free and bit-identical to the
         #: lossless golden traces.  Set via ``Network.set_segment_loss``;

@@ -6,18 +6,31 @@ low"; this module provides the utilization measurements that decision needs,
 plus the frame and byte totals the flight recorder and the benchmark ledger
 report.  Who sent a frame to which port is the capture trace's business
 (``Network(capture=True)``), not the monitor's.
+
+A window costs memory in proportion to the traffic it covers, so a
+monitor keeps one only as long as its readers need: every segment keeps
+:data:`UTILIZATION_WINDOW_US` (the gateway elector may read any of them),
+and the network-wide monitor keeps totals only unless an adaptation
+manager calls :meth:`TrafficMonitor.retain`.
 """
 
 from __future__ import annotations
+
+#: The trailing window every utilization reader asks for: the adaptation
+#: manager's traffic threshold and the gateway elector's ranking both look
+#: back this far, and segments retain exactly this much.
+UTILIZATION_WINDOW_US = 1_000_000
 
 
 class TrafficMonitor:
     """Counts every message the network delivers or attempts to deliver.
 
     The monitor keeps two cumulative totals, ``total_messages`` and
-    ``total_bytes``, and a sliding window of recent traffic for
-    utilization queries.  ``window_us`` bounds how far back
-    :meth:`utilization` can look.
+    ``total_bytes``, and, once retained, a sliding window of recent
+    traffic for utilization queries.  The retention (``window_us``, or
+    the largest :meth:`retain` request) bounds how far back
+    :meth:`utilization` can look; at 0 the monitor keeps totals only and
+    every window read raises.
 
     The window is two parallel integer columns, bucket times and bucket
     byte counts, with a head index marking the oldest live bucket.  A
@@ -35,28 +48,67 @@ class TrafficMonitor:
     before it, which is what lets :meth:`bytes_in_window` stop early.
     """
 
-    def __init__(self, bandwidth_bps: int | None, window_us: int = 5_000_000):
+    def __init__(self, bandwidth_bps: int | None, window_us: int = 0):
         self._bandwidth_bps = bandwidth_bps
-        self._window_us = window_us
-        #: Bucket columns; the live window is ``[_head, len)``.
+        self._window_us = 0
+        #: Bucket columns; the live window is ``[_head, len)``.  Both stay
+        #: empty while the retention is 0.
         self._times: list[int] = []
         self._sizes: list[int] = []
         self._head = 0
         #: Latest time booked so far, and the column index of the newest
         #: late bucket (below ``_head`` once evicted, or when none exists).
+        #: A totals-only monitor stops tracking the time once it is spread.
         self._latest_us = -1
         self._late = -1
+        #: True once frames were booked at two different times: from then
+        #: on no window can be widened exactly.
+        self._spread = False
         self.total_messages = 0
         self.total_bytes = 0
+        self.retain(window_us)
+
+    def retain(self, window_us: int) -> None:
+        """Keep at least the trailing ``window_us`` for window reads.
+
+        Raises the retention to the largest window ever asked for; a
+        smaller request does nothing.  Raising it after frames were
+        booked at two or more different times raises ``ValueError``: the
+        traffic the wider window should cover is already gone, and a
+        partial window would read as idle.  While every frame so far
+        shares one µs, the window starts exact from a single bucket.
+        """
+        if window_us < 0:
+            raise ValueError(f"window_us must not be negative, got {window_us}")
+        if window_us <= self._window_us:
+            return
+        if self._spread:
+            raise ValueError(
+                f"cannot widen the window to {window_us} µs after frames "
+                "were booked at different times"
+            )
+        if self.total_messages and not self._times:
+            self._times.append(self._latest_us)
+            self._sizes.append(self.total_bytes)
+        self._window_us = window_us
 
     def record(self, time_us: int, size: int) -> None:
         """Book one frame of ``size`` bytes seen at ``time_us``."""
         self.total_messages += 1
         self.total_bytes += size
-        times = self._times
-        if times and times[-1] == time_us:
-            self._sizes[-1] += size
+        if not self._window_us:
+            if not self._spread and time_us != self._latest_us:
+                if self._latest_us < 0:
+                    self._latest_us = time_us
+                else:
+                    self._spread = True
             return
+        times = self._times
+        if times:
+            if times[-1] == time_us:
+                self._sizes[-1] += size
+                return
+            self._spread = True
         if time_us < self._latest_us:
             self._late = len(times)
         else:
@@ -78,7 +130,7 @@ class TrafficMonitor:
 
     def bytes_in_window(self, now_us: int, window_us: int) -> int:
         """Bytes observed during the last ``window_us`` of virtual time."""
-        if window_us > self._window_us:
+        if not self._window_us or window_us > self._window_us:
             raise ValueError(
                 f"window {window_us} exceeds monitor retention {self._window_us}"
             )
@@ -103,7 +155,7 @@ class TrafficMonitor:
                 total += sizes[i]
         return total
 
-    def utilization(self, now_us: int, window_us: int = 1_000_000) -> float:
+    def utilization(self, now_us: int, window_us: int = UTILIZATION_WINDOW_US) -> float:
         """Fraction of segment bandwidth consumed over the trailing window.
 
         Returns 0.0 when the model has infinite bandwidth.  Raises
@@ -118,5 +170,39 @@ class TrafficMonitor:
         capacity_bits = self._bandwidth_bps * window_us / 1_000_000
         return min(bits / capacity_bits, 1.0)
 
+    def check(self) -> list[str]:
+        """Window bookkeeping audit.  Returns the problems found.
 
-__all__ = ["TrafficMonitor"]
+        A totals-only monitor holds no bucket.  A retained one keeps its
+        head inside equal-length columns, at most twice its live buckets
+        (plus one), no more live bytes than it ever booked, and every live
+        bucket that is not late within the retention of the newest
+        booking.
+        """
+        times, sizes, head = self._times, self._sizes, self._head
+        if not self._window_us:
+            return ["a totals-only monitor holds buckets"] if times or sizes else []
+        problems: list[str] = []
+        if len(times) != len(sizes):
+            problems.append(f"columns of {len(times)} times and {len(sizes)} sizes")
+        if not 0 <= head <= len(times):
+            problems.append(f"head {head} outside {len(times)} buckets")
+        live = len(times) - head
+        if len(times) > 2 * live + 1:
+            problems.append(f"{len(times)} buckets held for {live} live")
+        if sum(sizes[head:]) > self.total_bytes:
+            problems.append("live bytes exceed the bytes ever booked")
+        horizon = self._latest_us - self._window_us
+        newest_before = -1
+        for time_us in times[head:]:
+            if time_us >= newest_before:  # not booked behind a newer bucket
+                if time_us < horizon:
+                    problems.append(
+                        f"bucket at {time_us} µs outlived the retention of "
+                        f"the booking at {self._latest_us} µs"
+                    )
+                newest_before = time_us
+        return problems
+
+
+__all__ = ["TrafficMonitor", "UTILIZATION_WINDOW_US"]

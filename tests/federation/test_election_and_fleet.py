@@ -4,8 +4,8 @@ import pytest
 
 from repro import Indiss, IndissConfig, Network
 from repro.core import ShardRingPolicy, make_policy
-from repro.federation import GatewayFleet
-from repro.net import Endpoint
+from repro.federation import GatewayElector, GatewayFleet
+from repro.net import UTILIZATION_WINDOW_US, Endpoint
 
 
 def build_world(member_count=3, election_hold_us=1_000_000):
@@ -188,6 +188,16 @@ def test_owner_translates_when_nobody_can_cache_answer():
         assert instance.stats.translated == expected, instance.node.address
 
 
+def test_an_election_window_longer_than_segments_retain_is_rejected():
+    net = Network()
+    with pytest.raises(ValueError):
+        GatewayFleet(net, net.default_segment, election_window_us=UTILIZATION_WINDOW_US + 1)
+    fleet = GatewayFleet(net, net.default_segment)
+    with pytest.raises(ValueError):
+        GatewayElector(fleet, window_us=UTILIZATION_WINDOW_US + 1)
+    assert fleet.elector.window_us == UTILIZATION_WINDOW_US
+
+
 # -- policy wiring ---------------------------------------------------------------
 
 
@@ -210,3 +220,4 @@ def test_unfederated_shard_ring_degrades_to_gateway_forward():
     session.vars["service_type"] = "clock"
     targets = instance.policy.select_targets(instance, session)
     assert {unit.sdp_id for unit in targets} == {"slp", "upnp"}
+

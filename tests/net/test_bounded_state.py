@@ -1,11 +1,12 @@
 """State the frame path keeps follows the live state, not the traffic.
 
 A traffic window holds integer columns, not one container per booked
-bucket; a TCP stack forgets a connection the moment it closes; the
-description exporter keeps what a document needs and renders it when a
-client fetches it.  Each test pins one of these together with the
-behaviour that must not move with it: the ephemeral-port sequence
-across a wrap, crash-stop silence for stale sends, and the served bytes.
+bucket, and only a monitor some reader can look at keeps one; a TCP
+stack forgets a connection the moment it closes; the description
+exporter keeps what a document needs and renders it when a client
+fetches it.  Each test pins one of these together with the behaviour
+that must not move with it: the ephemeral-port sequence across a wrap,
+crash-stop silence for stale sends, and the served bytes.
 """
 
 import functools
@@ -16,10 +17,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.net import Endpoint, LatencyModel, Network, SocketClosedError
+from repro.net import (
+    UTILIZATION_WINDOW_US,
+    Endpoint,
+    LatencyModel,
+    Network,
+    SocketClosedError,
+)
 from repro.net.traffic import TrafficMonitor
 from repro.sdp.base import ServiceRecord
 from repro.sdp.upnp import http_get
+from repro.world import World
+from repro.world.scenarios import SCENARIO_SPECS, SMALL_SCALE_OVERRIDES
 
 
 def make_net():
@@ -225,3 +234,25 @@ def test_a_long_run_keeps_the_window_columns_bounded():
     assert footprint() <= 2 * early
     live = [t for t in range(2_000, 1_000_000, 3) if t >= 999_999 - 1_000]
     assert monitor.bytes_in_window(999_999, 1_000) == 60 * len(live)
+
+
+def test_a_served_world_keeps_windows_only_where_a_reader_can_look():
+    """No catalog world builds an adaptation manager, so the network-wide
+    monitor keeps totals only; every segment keeps the 1 s its elector
+    may read, no more, and its columns stay within their bounds."""
+    name = "serving_backbone"
+    world = World.build(
+        SCENARIO_SPECS[name](**SMALL_SCALE_OVERRIDES.get(name, {})), seed=0
+    )
+    world.run_workload()
+    now = world.net.scheduler.now_us
+    traffic = world.net.traffic
+    assert traffic.total_messages > 0
+    assert traffic.check() == []
+    with pytest.raises(ValueError):
+        traffic.bytes_in_window(now, 1)
+    for segment in world.net.segments.values():
+        assert segment.traffic.check() == []
+        segment.traffic.bytes_in_window(now, UTILIZATION_WINDOW_US)
+        with pytest.raises(ValueError):
+            segment.traffic.bytes_in_window(now, UTILIZATION_WINDOW_US + 1)

@@ -72,7 +72,7 @@ class TestTrafficMonitor:
         """A saturated link reads 1.0 over the whole retained window; a
         longer window cannot be measured, so it raises rather than count
         the unretained part as idle."""
-        monitor = TrafficMonitor(bandwidth_bps=8_000_000)  # 1 MB/s, 5 s retained
+        monitor = TrafficMonitor(bandwidth_bps=8_000_000, window_us=5_000_000)  # 1 MB/s
         for time_us in range(0, 10_000_000, 10_000):
             monitor.record(time_us, 10_000)
         assert monitor.utilization(9_999_999, window_us=5_000_000) == 1.0

@@ -12,6 +12,7 @@ their send time).
 
 from collections import deque
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.traffic import TrafficMonitor
@@ -237,3 +238,136 @@ def test_long_runs_across_compactions_answer_like_the_sample_deque(bursts, queri
         assert monitor.utilization(newest, window) == reference.utilization(newest, window)
     assert monitor.total_messages == reference.total_messages
     assert monitor.total_bytes == reference.total_bytes
+
+
+
+#: A step of a monitor's life under subscription: book a frame relative
+#: to the previous one (0 keeps the instant, a negative step books late),
+#: ask for a retention, or read a window that may reach past what is
+#: retained.
+LIFE = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"),
+            st.one_of(
+                st.just(0),
+                st.integers(min_value=1, max_value=RETENTION_US),
+                st.integers(min_value=-RETENTION_US // 2, max_value=-1),
+            ),
+            st.integers(min_value=1, max_value=1500),
+        ),
+        st.tuples(
+            st.just("retain"),
+            st.sampled_from([0, RETENTION_US // 2, RETENTION_US, 2 * RETENTION_US]),
+        ),
+        st.tuples(
+            st.just("window"),
+            st.integers(min_value=0, max_value=RETENTION_US),
+            st.integers(min_value=0, max_value=3 * RETENTION_US),
+        ),
+    ),
+    max_size=50,
+)
+
+
+@given(ops=LIFE, start=st.integers(min_value=0, max_value=RETENTION_US))
+def test_a_retention_follows_its_requests_and_never_widens_a_spread_past(ops, start):
+    """A monitor born without a window keeps totals; ``retain`` raises the
+    retention to the largest request and never lowers it.  A request made
+    while every frame so far shares one µs answers every later read like
+    a monitor retained from birth and like the per-sample reference; once
+    frames span two instants, widening raises.  A read on an unretained
+    monitor, or past the retention, raises.  ``check()`` holds after
+    every step."""
+    monitor = TrafficMonitor(80_000)
+    reference = SampleDequeMonitor(80_000, 10**12)  # never evicts
+    born = None  # retained from birth at the current retention
+    retention = 0
+    bookings = []
+    clock = newest = start
+    for op in ops:
+        if op[0] == "record":
+            _, step, size = op
+            clock = max(0, clock + step)
+            newest = max(newest, clock)
+            bookings.append((clock, size))
+            for target in (monitor, reference, born):
+                if target is not None:
+                    target.record(clock, size)
+        elif op[0] == "retain":
+            _, window = op
+            if window > retention and len({t for t, _ in bookings}) > 1:
+                with pytest.raises(ValueError):
+                    monitor.retain(window)
+            else:
+                monitor.retain(window)
+                if window > retention:
+                    retention = window
+                    born = TrafficMonitor(80_000, window_us=retention)
+                    for booking in bookings:
+                        born.record(*booking)
+        else:
+            _, ahead, window = op
+            now = newest + ahead
+            if retention == 0 or window > retention:
+                with pytest.raises(ValueError):
+                    monitor.bytes_in_window(now, window)
+            else:
+                got = monitor.bytes_in_window(now, window)
+                assert got == reference.bytes_in_window(now, window)
+                assert got == born.bytes_in_window(now, window)
+        assert monitor.check() == []
+    assert monitor.total_messages == reference.total_messages
+    assert monitor.total_bytes == reference.total_bytes
+
+
+def test_a_late_retain_seeds_one_bucket_from_a_single_instant():
+    monitor = TrafficMonitor(10_000_000)
+    for size in (40, 60, 100):  # an alive burst, all at t = 0
+        monitor.record(0, size)
+    with pytest.raises(ValueError):
+        monitor.bytes_in_window(0, 1)
+    monitor.retain(RETENTION_US)
+    assert monitor.check() == []
+    assert monitor.bytes_in_window(0, RETENTION_US) == 200
+    monitor.record(RETENTION_US + 1, 7)  # evicts the seeded bucket
+    assert monitor.bytes_in_window(RETENTION_US + 1, RETENTION_US) == 7
+    assert (monitor.total_messages, monitor.total_bytes) == (4, 207)
+
+
+def test_bookings_at_two_instants_make_widening_raise():
+    monitor = TrafficMonitor(10_000_000)
+    monitor.record(5, 10)
+    monitor.record(4, 10)  # a late booking spreads the monitor too
+    with pytest.raises(ValueError):
+        monitor.retain(RETENTION_US)
+    monitor.retain(0)  # asks for nothing more: a no-op
+    assert monitor.check() == []
+
+    retained = TrafficMonitor(10_000_000, window_us=RETENTION_US)
+    retained.record(0, 10)
+    retained.record(1, 10)
+    retained.retain(RETENTION_US // 2)  # smaller: the retention stays
+    assert retained.bytes_in_window(1, RETENTION_US) == 20
+    with pytest.raises(ValueError):
+        retained.retain(2 * RETENTION_US)
+    with pytest.raises(ValueError):
+        retained.bytes_in_window(1, RETENTION_US + 1)
+
+
+@given(
+    bursts=st.lists(
+        st.tuples(BURST, st.integers(min_value=RETENTION_US // 2, max_value=3 * RETENTION_US)),
+        min_size=2, max_size=8,
+    ),
+)
+def test_check_holds_across_compactions_and_late_bookings(bursts):
+    monitor = TrafficMonitor(80_000, window_us=RETENTION_US)
+    clock = newest = 0
+    for burst, gap in bursts:
+        for step, size in burst:
+            clock = max(0, clock + step)
+            newest = max(newest, clock)
+            monitor.record(clock, size)
+            assert monitor.check() == []
+        clock = newest + gap

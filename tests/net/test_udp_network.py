@@ -9,6 +9,7 @@ from repro.net import (
     Network,
     PortInUseError,
     SocketClosedError,
+    UTILIZATION_WINDOW_US,
 )
 
 
@@ -315,6 +316,7 @@ class TestTrafficAccounting:
 
     def test_utilization_window(self):
         net = make_net()
+        net.traffic.retain(UTILIZATION_WINDOW_US)
         a, b = net.add_node("a"), net.add_node("b")
         b.udp.socket().bind(5000).on_datagram(lambda d: None)
         sender = a.udp.socket().bind(6000)
