@@ -49,6 +49,7 @@ import sys
 import time
 from pathlib import Path
 
+from perf_gate import check_gates, machine_ref_score
 from repro.world import run_world
 from repro.world.engine import run_world_mp
 from repro.world.scenarios import (
@@ -83,29 +84,6 @@ def _profile_tier(name: str, spec, **run_kwargs) -> None:
     path = Path(f"BENCH_core.profile.{name}.txt")
     path.write_text(sink.getvalue())
     print(f"profiled {name} -> {path}")
-
-
-def _machine_ref_score(loops: int = 400_000) -> float:
-    """Throughput of a fixed pure-Python workload (iterations/second).
-
-    CI runners and dev machines differ ~2x in single-thread speed, so the
-    perf gate compares *normalized* events/sec (measured / this score)
-    rather than absolute numbers.  The reference is deliberately
-    independent of the repository's code, so a simulator regression
-    cannot hide inside the reference.
-    """
-    best = None
-    for _ in range(3):
-        bucket = {}
-        acc = 0
-        start = time.perf_counter()
-        for i in range(loops):
-            bucket[i & 1023] = i
-            acc += i ^ (i >> 3)
-        wall = time.perf_counter() - start
-        if best is None or wall < best:
-            best = wall
-    return loops / best
 
 
 def _measure(spec, runs: int = 3, name: str | None = None, **run_kwargs) -> dict:
@@ -274,7 +252,7 @@ def run(metro_nodes: int = 5000, media_nodes: int = 3000,
     results.update(run_metro(nodes=metro_nodes))
     results.update(run_media_city(nodes=media_nodes))
     results.update(run_district_grid(nodes=grid_nodes))
-    results["machine_ref_score"] = round(_machine_ref_score())
+    results["machine_ref_score"] = round(machine_ref_score())
     return results
 
 
@@ -300,32 +278,7 @@ def check_baseline(results: dict, baseline_path: Path = BASELINE_FILE) -> list[s
         gates.insert(0, baseline["gate"])
     if not gates:
         return ["no gate entries in baseline"]
-    problems = []
-    measured_ref = results.get("machine_ref_score")
-    for gate in gates:
-        key = gate.get("key", GATE_KEY)
-        measured = results.get(key)
-        if "events_per_sec" not in gate or not measured:
-            problems.append(f"gate key {key!r} missing from baseline or results")
-            continue
-        # Normalize both sides by their machine reference score so the gate
-        # tracks the *code*, not the runner the job landed on.
-        gate_ref = gate.get("machine_ref_score")
-        if gate_ref and measured_ref:
-            gate_value = gate["events_per_sec"] / gate_ref
-            measured_value = measured["events_per_sec"] / measured_ref
-            unit = "normalized events/sec (events per reference-iteration)"
-        else:
-            gate_value = gate["events_per_sec"]
-            measured_value = measured["events_per_sec"]
-            unit = "events/sec"
-        if measured_value < gate_value * GATE_FRACTION:
-            problems.append(
-                f"{key}: {measured_value:.6f} {unit} is below "
-                f"{GATE_FRACTION:.0%} of the committed gate value "
-                f"({gate_value:.6f})"
-            )
-    return problems
+    return check_gates(results, gates, GATE_FRACTION, GATE_KEY)
 
 
 # -- pytest entry point ----------------------------------------------------------

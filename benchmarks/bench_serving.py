@@ -20,8 +20,9 @@ row streams.
 
 Results go to ``BENCH_serving.json``.  ``--check`` also compares
 machine-normalized events/sec against every entry in the committed
-``benchmarks/BENCH_serving.baseline.json`` (>20% regression fails, the
-same contract as ``bench_core_hotpaths``).
+``benchmarks/BENCH_serving.baseline.json`` (falling below
+``GATE_FRACTION`` of a gate fails), through the gate ``perf_gate.py``
+shares with ``bench_core_hotpaths``.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_serving.py``) or
 through pytest for the smoke test.
@@ -35,6 +36,7 @@ import sys
 import time
 from pathlib import Path
 
+from perf_gate import check_gates, machine_ref_score
 from repro.world import World, run_world_partitioned
 from repro.world.scenarios import serving_backbone_spec, serving_grid_spec
 
@@ -66,24 +68,6 @@ BACKBONE_PARAMS = dict(
 )
 
 GATE_KEY = "serving_backbone_12000"
-
-
-def _machine_ref_score(loops: int = 400_000) -> float:
-    """Throughput of a fixed pure-Python workload (iterations/second);
-    the perf gate compares events/sec normalized by this score so it
-    tracks the code, not the runner (same reference as the core bench)."""
-    best = None
-    for _ in range(3):
-        bucket = {}
-        acc = 0
-        start = time.perf_counter()
-        for i in range(loops):
-            bucket[i & 1023] = i
-            acc += i ^ (i >> 3)
-        wall = time.perf_counter() - start
-        if best is None or wall < best:
-            best = wall
-    return loops / best
 
 
 def _digest(world, outcome) -> str:
@@ -187,7 +171,7 @@ def run_grid_parity(seed: int = 0) -> dict:
 def run(seed: int = 0) -> dict:
     results = run_backbone(seed=seed)
     results.update(run_grid_parity(seed=seed))
-    results["machine_ref_score"] = round(_machine_ref_score())
+    results["machine_ref_score"] = round(machine_ref_score())
     return results
 
 
@@ -224,28 +208,9 @@ def check_results(results: dict, baseline_path: Path = BASELINE_FILE) -> list[st
         problems.append(f"baseline file {baseline_path} missing")
         return problems
     baseline = json.loads(baseline_path.read_text())
-    measured_ref = results.get("machine_ref_score")
-    for gate in baseline.get("gates", ()):
-        key = gate.get("key", GATE_KEY)
-        measured = results.get(key)
-        if "events_per_sec" not in gate or not measured:
-            problems.append(f"gate key {key!r} missing from baseline or results")
-            continue
-        gate_ref = gate.get("machine_ref_score")
-        if gate_ref and measured_ref:
-            gate_value = gate["events_per_sec"] / gate_ref
-            measured_value = measured["events_per_sec"] / measured_ref
-            unit = "normalized events/sec (events per reference-iteration)"
-        else:
-            gate_value = gate["events_per_sec"]
-            measured_value = measured["events_per_sec"]
-            unit = "events/sec"
-        if measured_value < gate_value * GATE_FRACTION:
-            problems.append(
-                f"{key}: {measured_value:.6f} {unit} is below "
-                f"{GATE_FRACTION:.0%} of the committed gate value "
-                f"({gate_value:.6f})"
-            )
+    problems.extend(
+        check_gates(results, baseline.get("gates", ()), GATE_FRACTION, GATE_KEY)
+    )
     return problems
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from ..core import Indiss, IndissConfig
 from ..net import Endpoint, Network, NetworkError, make_loss_model, shared_decode
@@ -723,12 +723,13 @@ class World:
     def _start_query_load(self, step: QueryLoad) -> None:
         """Open-loop clients against the serving tier's query frontends.
 
-        Every client's full arrival schedule is drawn *now* from a seeded
-        RNG — build and step application run identically in every
-        multiprocess worker, so the schedule (and the query byte stream it
-        produces) is the same under all three engines.  Sends never wait
-        for responses; per-client accounting is event-driven, so only the
-        owning worker's counters move and merged rows stay exact.
+        Each client owns a seeded RNG that nothing else reads, and draws
+        its next send offset from it only when the previous query fires
+        (see :func:`_arrival_offsets`), so the schedule (and the query
+        byte stream it produces) is the same under all three engines.
+        Sends never wait for responses; per-client accounting is
+        event-driven, so only the owning worker's counters move and merged
+        rows stay exact.
         """
         group = self.load_groups.setdefault(step.group, [])
         frontends = [(name, self.hosts[name]) for name in step.frontends]
@@ -767,7 +768,7 @@ class World:
                 group.append(stats)
                 client_index += 1
 
-    def _start_query_client(self, step, node, target, times, stats) -> None:
+    def _start_query_client(self, step, node, target, offsets, stats) -> None:
         """One client: its socket, response handler, and send chain.
 
         A factory method so every closure binds *this* client's state —
@@ -812,7 +813,7 @@ class World:
 
         sock.on_datagram(on_response)
 
-        def fire(i: int) -> None:
+        def fire(i: int, at: int) -> None:
             message = _build_query(serving_wire, step, i, state)
             state["inflight"][i] = node.now_us
             stats["sent"] += 1
@@ -828,10 +829,12 @@ class World:
                 target,
                 decode_hint=(serving_wire.WIRE_MEMO_KEY, message),
             )
-            if i + 1 < len(times):
-                node.schedule(times[i + 1] - times[i], lambda: fire(i + 1))
+            if i + 1 < step.queries_per_client:
+                later = next(offsets)
+                node.schedule(later - at, lambda: fire(i + 1, later))
 
-        node.schedule(step.start_delay_us + times[0], lambda: fire(0))
+        first = next(offsets)
+        node.schedule(step.start_delay_us + first, lambda: fire(0, first))
 
     def _run_churn(self, step: Churn) -> None:
         """Sustained membership churn over one fleet.
@@ -1081,39 +1084,39 @@ SPEC_TABLE: dict[type, Callable] = {
 }
 
 
-def _arrival_offsets(step: QueryLoad, rng: random.Random) -> list[int]:
+def _arrival_offsets(step: QueryLoad, rng: random.Random) -> Iterator[int]:
     """The client's send offsets (µs after its start delay), one per query.
 
-    Drawn entirely up front from the caller's seeded RNG — no draw ever
-    happens in event context, which is what keeps the open-loop schedule
-    byte-identical across engines.
+    Drawn lazily, one offset per query as the client fires.  ``rng``
+    belongs to this one client and nothing else draws from it, so the
+    offsets do not depend on when they are drawn: every engine (and
+    every multiprocess worker that owns the client) sees the same
+    open-loop schedule.
     """
     mean = step.mean_interval_us
-    times: list[int] = []
     t = 0
     if step.process == "poisson":
         for _ in range(step.queries_per_client):
             t += max(1, int(rng.expovariate(1.0 / mean)))
-            times.append(t)
+            yield t
     elif step.process == "bursty":
         # Trains of ``burst`` near-back-to-back queries, train gaps scaled
         # so the long-run rate matches the poisson process.
         intra = max(1, mean // 10)
-        while len(times) < step.queries_per_client:
+        left = step.queries_per_client
+        while left:
             t += max(1, int(rng.expovariate(1.0 / (mean * step.burst))))
-            for _ in range(step.burst):
-                if len(times) >= step.queries_per_client:
-                    break
-                times.append(t)
+            for _ in range(min(step.burst, left)):
+                yield t
                 t += intra
+                left -= 1
     else:  # diurnal: the mean gap sweeps 0.5x..1.5x over one period
         period = step.diurnal_period_us
         for _ in range(step.queries_per_client):
             phase = math.sin((2.0 * math.pi * t) / period)
             local_mean = max(1.0, mean * (1.0 + 0.5 * phase))
             t += max(1, int(rng.expovariate(1.0 / local_mean)))
-            times.append(t)
-    return times
+            yield t
 
 
 def _build_query(serving_wire, step: QueryLoad, i: int, state: dict) -> dict:

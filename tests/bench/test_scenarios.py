@@ -2,8 +2,9 @@
 
 These run a reduced trial count (the full 30-trial medians live in
 ``benchmarks/``); they pin down that every catalog scenario completes,
-that equal seeds give identical virtual latencies, and that the coarse
-orderings the paper reports always hold.
+that different seeds give different latencies, and that the coarse
+orderings the paper reports always hold.  That equal seeds give
+identical runs is pinned by ``tests/world/test_catalog_golden.py``.
 """
 
 import statistics
@@ -40,13 +41,6 @@ def small_spec(name):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", CATALOG)
-    def test_same_seed_same_latency(self, name):
-        spec = small_spec(name)
-        first = run_world(spec, seed=3)
-        second = run_world(spec, seed=3)
-        assert first.latency_us == second.latency_us
-
     def test_different_seeds_vary(self):
         spec = native_upnp_spec()
         latencies = {run_world(spec, seed=s).latency_us for s in range(6)}

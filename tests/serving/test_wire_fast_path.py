@@ -19,7 +19,7 @@ from repro.serving import frontend as frontend_module, wire
 from repro.world import World
 from repro.world.scenarios import serving_backbone_spec
 
-from world.test_memo_transparency import extras_outside_memo_counters
+from world.test_catalog_golden import invariant_extras
 
 # Characters JSON must escape or that ``ensure_ascii`` rewrites.
 AWKWARD = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "€",
@@ -184,7 +184,7 @@ def test_parse_once_off_decodes_every_frame_and_changes_nothing(monkeypatch):
     assert len(shared.net.scheduler.fire_log) > 500
     assert shared.load_groups["query"] == unshared.load_groups["query"]
     shared_outcome, unshared_outcome = shared.outcome(), unshared.outcome()
-    assert extras_outside_memo_counters(shared_outcome.extras, unshared_outcome.extras) == []
+    assert invariant_extras(shared_outcome.extras) == invariant_extras(unshared_outcome.extras)
     assert replace(shared_outcome, world=None, extras=None) == replace(
         unshared_outcome, world=None, extras=None
     )

@@ -1,24 +1,25 @@
-"""Receive filters change host work, never the simulation.
+"""Receive filters change host work, never the simulation, under loss.
 
-Each world runs twice with one seed: once as built, and once with every
-socket filter ignored, so each handler sees every frame again and drops
-the unwanted ones itself.  The fired event schedule and the outcome must be
-identical, apart from the count of shared decodes (with filters ignored,
-handlers decode frames they then drop).  The lossy variants put a
+``test_catalog_golden`` runs every catalog row with every socket filter
+ignored and compares it with the golden table.  The cases here add a
 Bernoulli loss model on one leaf segment, which pins the per-receiver
 loss-draw order: the draw happens before the filter is consulted, so
-filtered receivers still draw.  Both runs share one process; each world's
-network mints its own session ids, so the first run cannot shift the
-second's payloads.
+filtered receivers still draw.  Each world runs twice with one seed,
+once as built and once with filters ignored, and the fired event
+schedule and outcome must be identical, apart from the count of shared
+decodes (with filters ignored, handlers decode frames they then drop).
+Both runs share one process; each world's network mints its own session
+ids, so the first run cannot shift the second's payloads.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.net import UdpSocket
 from repro.world import Fault, World
 from repro.world.scenarios import district_grid_spec, media_city_spec, serving_backbone_spec
+
+from .test_catalog_golden import ignore_receive_filters
 
 WORLDS = {
     "serving_backbone": (
@@ -69,34 +70,23 @@ def run(name: str, lossy: bool):
     }
 
 
-def ignore_filters(monkeypatch):
-    monkeypatch.setattr(
-        UdpSocket, "set_receive_filter", lambda self, classify, admitted: self
-    )
-
-
-@pytest.mark.parametrize("lossy", [False, True], ids=["clean", "lossy"])
-@pytest.mark.parametrize("name", ["serving_backbone", "district_grid"])
-def test_filters_do_not_change_the_run(monkeypatch, name, lossy):
-    filtered = run(name, lossy)
-    ignore_filters(monkeypatch)
-    unfiltered = run(name, lossy)
+@pytest.mark.parametrize(
+    "name",
+    [pytest.param(name, id=f"{name}-lossy") for name in ("serving_backbone", "district_grid")],
+)
+def test_filters_do_not_change_the_run(monkeypatch, name):
+    filtered = run(name, lossy=True)
+    ignore_receive_filters(monkeypatch)
     assert len(filtered["fire_log"]) > 100
-    assert filtered == unfiltered
-    if lossy:
-        clean = run(name, lossy=False)
-        assert filtered["fire_log"] != clean["fire_log"], "the leaf lost frames"
-
-
-def test_control_point_filters_do_not_change_the_run(monkeypatch):
-    filtered = run("media_city", lossy=False)
-    ignore_filters(monkeypatch)
-    assert filtered == run("media_city", lossy=False)
+    assert filtered == run(name, lossy=True)
+    clean = run(name, lossy=False)
+    assert filtered["fire_log"] != clean["fire_log"], "the leaf lost frames"
 
 
 def test_filters_are_declared_where_handlers_dropped_frames():
-    """The filters under test are really installed (so the comparison
-    above is not vacuous)."""
+    """The filters under test are really installed (so the comparisons
+    above and in the golden table's ``filters_ignored`` variant are not
+    vacuous)."""
     world = World.build(WORLDS["media_city"][0](), seed=3)
     filtered = {
         sock.receive_filter.classify.__name__
