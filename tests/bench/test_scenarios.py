@@ -2,9 +2,10 @@
 
 These run a reduced trial count (the full 30-trial medians live in
 ``benchmarks/``); they pin down that every catalog scenario completes,
-that different seeds give different latencies, and that the coarse
-orderings the paper reports always hold.  That equal seeds give
-identical runs is pinned by ``tests/world/test_catalog_golden.py``.
+that equal seeds give identical runs (each entry's golden rows at seeds
+0 and 1, ``tests/world/test_catalog_golden.py``) and different seeds
+different latencies, and that the coarse orderings the paper reports
+always hold.
 """
 
 import statistics
@@ -24,6 +25,8 @@ from repro.world.scenarios import (
     upnp_to_slp_service_side_spec,
 )
 
+from world.test_catalog_golden import assert_matches_golden, golden_rows
+
 #: Cases are named by the paper's figure key (and the gateway ablations by
 #: their ``gateway_*`` names) where one exists, so a failure reads against
 #: the figure it reproduces; every other entry uses its catalog name.
@@ -41,6 +44,10 @@ def small_spec(name):
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_same_seed_same_latency(self, name):
+        assert_matches_golden(golden_rows(name), "plain")
+
     def test_different_seeds_vary(self):
         spec = native_upnp_spec()
         latencies = {run_world(spec, seed=s).latency_us for s in range(6)}

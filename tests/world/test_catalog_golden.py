@@ -8,8 +8,8 @@ capture order, the fired event count, the headline latency and result
 count, the node count and segment names, and two digests of the extras
 (all of them, and all but the :data:`VARIANT_EXTRAS`).
 
-Each test below runs one variant of every row and compares it with the
-row, naming each row and field that moved:
+:func:`assert_matches_golden` runs one variant of some rows and compares
+each run with its row, naming every row and field that moved:
 
 * ``plain`` — every field.  The table is written by
   ``regen_golden.py``, one fresh interpreter per row; a test process has
@@ -24,6 +24,13 @@ row, naming each row and field that moved:
   ``trace``: shards append capture records window by window, so the
   records agree as a multiset but not in order.
 
+Each variant is checked where its subject is tested, catalog entry by
+catalog entry: ``plain`` in ``tests/bench/test_scenarios.py``
+(``TestDeterminism``) and ``test_parity.py``, ``memos_off`` in
+``test_memo_transparency.py``, ``recorded`` in ``test_observability.py``,
+``filters_ignored`` in ``test_receive_filter_transparency.py`` and
+``partitioned`` in ``test_partitioned_engine.py``.
+
 Regenerate the table with ``PYTHONPATH=src python tests/world/regen_golden.py``
 after a change that is meant to move simulated behaviour; its diff names
 every row that moved.
@@ -34,9 +41,8 @@ from __future__ import annotations
 import hashlib
 import json
 from fnmatch import fnmatchcase
+from functools import cache
 from pathlib import Path
-
-import pytest
 
 from repro.net import UdpSocket
 from repro.world import run_world
@@ -111,9 +117,13 @@ def _digest(value) -> str:
 
 def fingerprint(entry: str, seed: int, params: dict, **run_kwargs) -> dict:
     """What one run of catalog ``entry`` put on the wire and reported."""
-    outcome = run_world(
+    return outcome_fingerprint(run_world(
         SCENARIO_SPECS[entry](**params), seed=seed, capture=True, **run_kwargs
-    )
+    ))
+
+
+def outcome_fingerprint(outcome) -> dict:
+    """The golden-row fields of one captured run's ``outcome``."""
     world = outcome.world
     trace = hashlib.sha256()
     for record in world.trace:
@@ -146,8 +156,25 @@ def ignore_receive_filters(monkeypatch) -> None:
     )
 
 
-def load_golden() -> list[dict]:
-    return json.loads(GOLDEN.read_text())
+@cache
+def load_golden() -> tuple[dict, ...]:
+    return tuple(json.loads(GOLDEN.read_text()))
+
+
+def golden_rows(entry: str, seeds=SEEDS, params: dict | None = None) -> list[dict]:
+    """The rows of catalog ``entry`` at ``seeds`` run with ``params``
+    (default: its ``SMALL_SCALE_OVERRIDES`` sizes)."""
+    if params is None:
+        params = SMALL_SCALE_OVERRIDES.get(entry, {})
+    return [
+        row for row in load_golden()
+        if row["entry"] == entry and row["seed"] in seeds and row["params"] == params
+    ]
+
+
+def entry_rows(entry: str) -> list[dict]:
+    """Every row of catalog ``entry``, its extra parameter sets included."""
+    return [row for row in load_golden() if row["entry"] == entry]
 
 
 #: variant -> (run_world keywords, fields the variant may change).
@@ -160,21 +187,28 @@ VARIANTS = {
 }
 
 
-def test_table_has_one_row_per_key():
-    keys = [(row["entry"], row["seed"], row["params"]) for row in load_golden()]
-    assert keys == row_keys(), "regenerate with tests/world/regen_golden.py"
+def moved_fields(row: dict, got: dict, variant: str) -> list[str]:
+    """Fields of fingerprint ``got`` that differ from golden ``row`` and
+    that ``variant`` may not change."""
+    may_change = VARIANTS[variant][1]
+    return [f for f in FIELDS if f not in may_change and got[f] != row[f]]
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_catalog_matches_golden(monkeypatch, variant):
-    run_kwargs, may_change = VARIANTS[variant]
-    if variant == "filters_ignored":
-        ignore_receive_filters(monkeypatch)
+def assert_matches_golden(rows: list[dict], variant: str) -> None:
+    """Run ``variant`` of every row in ``rows``; fail naming each row and
+    field that moved.  The ``filters_ignored`` caller ignores the filters
+    first (:func:`ignore_receive_filters`)."""
+    assert rows, "no golden rows selected"
+    run_kwargs = VARIANTS[variant][0]
     moved = []
-    for row in load_golden():
+    for row in rows:
         key = (row["entry"], row["seed"], row["params"])
-        got = fingerprint(*key, **run_kwargs)
-        fields = [f for f in FIELDS if f not in may_change and got[f] != row[f]]
+        fields = moved_fields(row, fingerprint(*key, **run_kwargs), variant)
         if fields:
             moved.append(f"{row_id(*key)}: {', '.join(fields)}")
     assert not moved, f"{variant} run differs from the golden table:\n" + "\n".join(moved)
+
+
+def test_table_has_one_row_per_key():
+    keys = [(row["entry"], row["seed"], row["params"]) for row in load_golden()]
+    assert keys == row_keys(), "regenerate with tests/world/regen_golden.py"

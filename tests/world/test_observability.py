@@ -3,10 +3,10 @@ across engines, and the recording itself is exact across backends.
 
 This is the recorded twin of ``test_partitioned_engine``: the same
 single == partitioned == multiprocess contract, but with metrics and
-trace recording enabled — the per-district timelines merged from
-forked workers must equal the inline timeline record for record.  That
-recording observes a run without perturbing it is the ``recorded``
-variant of ``test_catalog_golden``.
+trace recording enabled — recording must observe the run without
+perturbing it (every golden row of ``test_catalog_golden`` runs recorded),
+and the per-district timelines merged from forked workers must equal the
+inline timeline record for record.
 """
 
 import re
@@ -16,6 +16,8 @@ import pytest
 from repro.world import World, run_world, run_world_mp
 from repro.world.engine import run_world_partitioned
 from repro.world.scenarios import district_grid_spec, metro_backbone_spec
+
+from .test_catalog_golden import assert_matches_golden, load_golden
 
 GRID_PARAMS = {"districts": 3, "leaves_per_district": 2, "run_us": 2_000_000}
 METRO_PARAMS = {"districts": 2, "leaves_per_district": 3, "nodes": 300,
@@ -40,6 +42,9 @@ class TestRecordingIsTransparent:
         outcome = run_world(metro_backbone_spec(**METRO_PARAMS), seed=0, engine="single")
         assert outcome.metrics is None
         assert not any(_LATENCY_KEY.search(k) for k in outcome.extras)
+
+    def test_recording_does_not_perturb_the_schedule(self):
+        assert_matches_golden(list(load_golden()), "recorded")
 
     def test_chatter_percentiles_appear_only_when_recorded(self):
         spec = metro_backbone_spec(**METRO_PARAMS)

@@ -1,17 +1,19 @@
-"""The partitioned engine's partition map, windows and forked backend.
+"""The partitioned engine vs the single-threaded oracle, end to end.
 
-The single wheel is the reference: ``test_catalog_golden`` runs every
-catalog row under the district-sharded engine and compares it with the
-committed golden table.  These tests pin what that comparison cannot
-see: ``district_grid`` really shards into windows, the catalog's scale
-worlds collapse to one district, and the forked multiprocess backend
-(whose result has no capture trace) reports exactly what the inline
-partitioned engine reports.
+The single wheel is the reference: the committed golden table
+(``test_catalog_golden``) was written by it, and every catalog row run
+on the district-sharded engine must match its row in every field but
+the capture order (shards append capture records window by window).
+The other tests pin what that comparison cannot see: ``district_grid``
+really shards into windows, the catalog's scale worlds collapse to one
+district, and the forked multiprocess backend (whose result has no
+capture trace) reports exactly what the inline partitioned engine
+reports.
 """
 
 import pytest
 
-from repro.world import SpecError, World, run_world_mp, spec_partition_map
+from repro.world import SpecError, World, run_world, run_world_mp, spec_partition_map
 from repro.world.engine import run_world_partitioned
 from repro.world.scenarios import (
     SCENARIO_SPECS,
@@ -20,11 +22,33 @@ from repro.world.scenarios import (
     serving_grid_spec,
 )
 
+from .test_catalog_golden import (
+    assert_matches_golden,
+    golden_rows,
+    moved_fields,
+    outcome_fingerprint,
+    row_keys,
+)
+
 #: The catalog's shared test sizes for its scale worlds.
 SCALE = {
     name: (SCENARIO_SPECS[name], SMALL_SCALE_OVERRIDES[name])
     for name in ("metro_backbone", "media_city", "churn_backbone")
 }
+
+
+def _row_case(entry: str, seed: int, params: dict):
+    """One golden row as a case named ``seed-entry`` (plus its parameters
+    when they are not the entry's test sizes)."""
+    case_id = f"{seed}-{entry}"
+    if params != SMALL_SCALE_OVERRIDES.get(entry, {}):
+        case_id += "-" + ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+    return pytest.param(entry, seed, params, id=case_id)
+
+
+@pytest.mark.parametrize("entry, seed, params", [_row_case(*key) for key in row_keys()])
+def test_partitioned_engine_matches_single_oracle(entry, seed, params):
+    assert_matches_golden(golden_rows(entry, seeds=(seed,), params=params), "partitioned")
 
 
 def test_district_grid_actually_shards():
@@ -90,6 +114,17 @@ def test_mp_driver_falls_back_inline_for_single_district():
     result = run_world_mp(builder(**params), seed=0)
     assert result["backend"] == "inline"
     assert result["partitions"] == 1
+
+
+def test_churn_under_partitioned_engine_matches_single():
+    """Detach/reattach cycles (fleet churn) with the engine bound: the
+    reattach path must restore per-partition placement and caches, and
+    the run must match the single wheel's golden row."""
+    (row,) = golden_rows("churn_backbone", seeds=(0,))
+    builder, params = SCALE["churn_backbone"]
+    sharded = run_world(builder(**params), seed=0, engine="partitioned", capture=True)
+    assert sharded.extras["churn_rejoins"] > 0
+    assert moved_fields(row, outcome_fingerprint(sharded), "partitioned") == []
 
 
 def test_partitioned_spec_freezes_map_on_single_engine_too():

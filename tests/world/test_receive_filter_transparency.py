@@ -1,15 +1,18 @@
-"""Receive filters change host work, never the simulation, under loss.
+"""Receive filters change host work, never the simulation.
 
-``test_catalog_golden`` runs every catalog row with every socket filter
-ignored and compares it with the golden table.  The cases here add a
-Bernoulli loss model on one leaf segment, which pins the per-receiver
-loss-draw order: the draw happens before the filter is consulted, so
-filtered receivers still draw.  Each world runs twice with one seed,
-once as built and once with filters ignored, and the fired event
-schedule and outcome must be identical, apart from the count of shared
-decodes (with filters ignored, handlers decode frames they then drop).
-Both runs share one process; each world's network mints its own session
-ids, so the first run cannot shift the second's payloads.
+With every socket filter ignored, each handler sees every frame again
+and drops the unwanted ones itself.  The clean cases run every golden
+row of a catalog entry that way and compare it with its row in every
+field but the full extras digest (with filters ignored, handlers decode
+frames they then drop; ``test_catalog_golden.VARIANT_EXTRAS``).  The
+lossy cases put a Bernoulli loss model on one leaf segment, which pins
+the per-receiver loss-draw order: the draw happens before the filter is
+consulted, so filtered receivers still draw.  Each lossy world runs
+twice with one seed, once as built and once with filters ignored, and
+the fired event schedule and outcome must be identical, apart from the
+count of shared decodes.  Both runs share one process; each world's
+network mints its own session ids, so the first run cannot shift the
+second's payloads.
 """
 
 from dataclasses import replace
@@ -17,9 +20,14 @@ from dataclasses import replace
 import pytest
 
 from repro.world import Fault, World
-from repro.world.scenarios import district_grid_spec, media_city_spec, serving_backbone_spec
+from repro.world.scenarios import (
+    SCENARIO_SPECS,
+    district_grid_spec,
+    media_city_spec,
+    serving_backbone_spec,
+)
 
-from .test_catalog_golden import ignore_receive_filters
+from .test_catalog_golden import assert_matches_golden, entry_rows, ignore_receive_filters
 
 WORLDS = {
     "serving_backbone": (
@@ -70,11 +78,23 @@ def run(name: str, lossy: bool):
     }
 
 
-@pytest.mark.parametrize(
-    "name",
-    [pytest.param(name, id=f"{name}-lossy") for name in ("serving_backbone", "district_grid")],
-)
-def test_filters_do_not_change_the_run(monkeypatch, name):
+#: Clean cases: every catalog entry but ``media_city`` (the control-point
+#: case below).  Lossy cases: the two :data:`WORLDS` with a leaf to degrade.
+CASES = [
+    pytest.param(name, False, id=f"{name}-clean")
+    for name in sorted(SCENARIO_SPECS) if name != "media_city"
+] + [
+    pytest.param(name, True, id=f"{name}-lossy")
+    for name in ("serving_backbone", "district_grid")
+]
+
+
+@pytest.mark.parametrize("name, lossy", CASES)
+def test_filters_do_not_change_the_run(monkeypatch, name, lossy):
+    if not lossy:
+        ignore_receive_filters(monkeypatch)
+        assert_matches_golden(entry_rows(name), "filters_ignored")
+        return
     filtered = run(name, lossy=True)
     ignore_receive_filters(monkeypatch)
     assert len(filtered["fire_log"]) > 100
@@ -83,10 +103,14 @@ def test_filters_do_not_change_the_run(monkeypatch, name):
     assert filtered["fire_log"] != clean["fire_log"], "the leaf lost frames"
 
 
+def test_control_point_filters_do_not_change_the_run(monkeypatch):
+    ignore_receive_filters(monkeypatch)
+    assert_matches_golden(entry_rows("media_city"), "filters_ignored")
+
+
 def test_filters_are_declared_where_handlers_dropped_frames():
     """The filters under test are really installed (so the comparisons
-    above and in the golden table's ``filters_ignored`` variant are not
-    vacuous)."""
+    above are not vacuous)."""
     world = World.build(WORLDS["media_city"][0](), seed=3)
     filtered = {
         sock.receive_filter.classify.__name__
