@@ -47,6 +47,11 @@ QUICKSTART = WorldSpec(
 def main() -> None:
     QUICKSTART.validate()
     world = World.build(QUICKSTART, seed=0)
+    indiss = world.instances[0]
+    # INDISS keeps only open sessions; subscribe to the finished ones to
+    # read their step logs (paper Fig. 4).
+    finished = []
+    indiss.session_listeners.append(finished.append)
 
     # Issue the probe, then run just until the answer arrives (run-control:
     # a predicate over the live world, not a fixed horizon).
@@ -61,8 +66,7 @@ def main() -> None:
     print(f"first answer after {probe.latency_us / 1000:.2f} ms (virtual)")
     print()
     print("What INDISS did:")
-    indiss = world.instances[0]
-    for session in indiss.sessions:
+    for session in sorted(finished, key=lambda s: s.session_id):
         for step in session.steps:
             print(f"  - {step}")
     print()

@@ -41,6 +41,9 @@ def main() -> None:
     indiss.stream_listeners.append(
         lambda sdp, stream, meta: captured_streams.append((sdp, stream))
     )
+    # ... and every finished translation session, with its step log.
+    finished_sessions = []
+    indiss.session_listeners.append(finished_sessions.append)
 
     searches = []
     ua.find_services("service:clock", on_complete=searches.append)
@@ -69,7 +72,7 @@ def main() -> None:
     print("=" * 72)
     print("Step 3 - recursive GET, parser switch, and the final SLP reply")
     print("=" * 72)
-    for session in indiss.sessions:
+    for session in sorted(finished_sessions, key=lambda s: s.session_id):
         for step in session.steps:
             print(f"  - {step}")
     replies = []

@@ -44,7 +44,7 @@ from .monitor import MonitorComponent
 from .parser import NetworkMeta
 from .registry import IanaRegistry, default_registry
 from .session import TranslationSession, stream_has_result
-from .sessions import SessionManager, SessionStats
+from .sessions import SessionListener, SessionManager, SessionStats
 from .unit import IndissTimings, Unit, UnitRuntime
 
 UnitFactory = Callable[["Indiss", UnitRuntime], Unit]
@@ -131,11 +131,17 @@ class Indiss:
             if dispatch_policy is not None
             else make_policy(self.config.dispatch or "fanout")
         )
+        #: Application-layer listeners receiving every finished translation
+        #: session, after its reply was delivered (the Fig. 4 step logs).
+        #: The session manager keeps open sessions only, so a caller that
+        #: wants the finished processes subscribes here.
+        self.session_listeners: list[SessionListener] = []
         self.session_manager = SessionManager(
             clock=lambda: node.now_us,
             dedup_window_us=self.config.dedup_window_us,
             dedup_scope=self.policy.dedup_scope,
             session_id_source=node.network.session_id_source(node),
+            listeners=self.session_listeners,
         )
         self.advertisements = AdvertisementPipeline(self)
         #: Set by :meth:`repro.federation.GatewayFleet.join`; the
@@ -187,10 +193,6 @@ class Indiss:
     @property
     def stats(self) -> SessionStats:
         return self.session_manager.stats
-
-    @property
-    def sessions(self) -> list[TranslationSession]:
-        return self.session_manager.sessions
 
     # -- unit lifecycle (Fig. 5 dynamic composition) --------------------------
 
@@ -678,11 +680,7 @@ class Indiss:
         self.crashed = True
         self._epoch += 1
         self.monitor.close()
-        for session in self.session_manager.active():
-            # A completed session swallows complete_with() from any unit
-            # timer still in flight, so nothing composes a reply on behalf
-            # of a dead process.
-            session.completed = True
+        self.session_manager.fence()
         self.units.clear()
         self.cache = ServiceCache(lambda: self.node.now_us)
         self.detections.clear()
@@ -714,6 +712,7 @@ class Indiss:
             dedup_window_us=self.config.dedup_window_us,
             dedup_scope=self.policy.dedup_scope,
             session_id_source=node.network.session_id_source(node),
+            listeners=self.session_listeners,
         )
         self.advertisements = AdvertisementPipeline(self)
         if self.config.instantiate == "eager":

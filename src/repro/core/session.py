@@ -38,6 +38,9 @@ class TranslationSession:
     vars: dict[str, Any] = field(default_factory=dict)
     #: Set by the bridge: receives the reply event stream for composition.
     on_reply: Optional[Callable[[list[Event], "TranslationSession"], None]] = None
+    #: Set by the session manager: called once ``on_reply`` has returned,
+    #: to release the session from the manager's table.
+    on_done: Optional[Callable[["TranslationSession"], None]] = None
     completed: bool = False
     answered_from_cache: bool = False
     #: How many target units are still driving native discovery for this
@@ -69,6 +72,8 @@ class TranslationSession:
         self.completed = True
         if self.on_reply is not None:
             self.on_reply(reply_stream, self)
+        if self.on_done is not None:
+            self.on_done(self)
         return True
 
 

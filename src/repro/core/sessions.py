@@ -6,6 +6,12 @@ suppressing native retransmissions inside the dedup window, and the
 completion/timeout/cache accounting the benchmarks and the adaptation
 layer read.
 
+It holds only *open* sessions: a session leaves the table once its reply
+has been delivered, and is handed to the session listeners on the way
+out.  What a run retains is therefore bounded by the translations in
+flight, not by how long the run lasts; the finished processes (Fig. 4's
+step logs) belong to whoever subscribed to them.
+
 Duplicate suppression used to rebuild the whole recent-request dict on
 every incoming request (O(n) on the hot path); :class:`RequestDeduper`
 replaces that with a monotonic deque and lazy expiry — O(1) amortized per
@@ -21,6 +27,9 @@ from typing import Callable, Hashable, Optional
 from ..net import Endpoint
 from .events import Event
 from .session import TranslationSession
+
+#: Receives each session once its reply has been delivered.
+SessionListener = Callable[[TranslationSession], None]
 
 
 @dataclass
@@ -100,13 +109,18 @@ class SessionManager:
         dedup_window_us: int,
         session_id_source: Callable[[], int],
         dedup_scope: str = "requester",
+        listeners: Optional[list[SessionListener]] = None,
     ):
         if dedup_scope not in ("requester", "service-type"):
             raise ValueError(f"unknown dedup scope {dedup_scope!r}")
         self._clock = clock
         self.dedup_scope = dedup_scope
         self.deduper = RequestDeduper(clock, dedup_window_us)
-        self.sessions: list[TranslationSession] = []
+        #: Open sessions by id, in the order they were opened.
+        self._open: dict[int, TranslationSession] = {}
+        #: Called with each completed session after its reply was
+        #: delivered (the owner passes a list that outlives restarts).
+        self.listeners: list[SessionListener] = listeners if listeners is not None else []
         self.stats = SessionStats()
         #: The owning network's allocator for this host (see
         #: :meth:`repro.net.network.Network.session_id_source`).
@@ -157,9 +171,27 @@ class SessionManager:
             session_id=self._session_id_source(),
         )
         session.on_reply = on_reply
-        self.sessions.append(session)
+        session.on_done = self._release
+        self._open[session.session_id] = session
         self.stats.opened += 1
         return session
+
+    def _release(self, session: TranslationSession) -> None:
+        del self._open[session.session_id]
+        for listener in self.listeners:
+            listener(session)
+
+    def fence(self) -> None:
+        """Crash-stop: force-complete every open session and drop them all.
+
+        A completed session swallows ``complete_with()`` from any unit
+        timer still in flight, so nothing composes a reply on behalf of a
+        dead process; listeners never see these sessions, since no reply
+        was delivered.
+        """
+        for session in self._open.values():
+            session.completed = True
+        self._open.clear()
 
     def record_completed(self) -> None:
         self.stats.completed += 1
@@ -190,10 +222,11 @@ class SessionManager:
     # -- introspection -------------------------------------------------------
 
     def active(self) -> list[TranslationSession]:
-        return [s for s in self.sessions if not s.completed]
+        """The open sessions, oldest first."""
+        return list(self._open.values())
 
     def __len__(self) -> int:
-        return len(self.sessions)
+        return len(self._open)
 
 
-__all__ = ["SessionManager", "SessionStats", "RequestDeduper"]
+__all__ = ["SessionManager", "SessionStats", "RequestDeduper", "SessionListener"]

@@ -10,8 +10,10 @@ shares:
   replies feed back into the unit, HTTP requests, timers) plus the INDISS
   processing-cost charges;
 * embedded parsers with ``SDP_C_PARSER_SWITCH`` handling;
-* listener registration (the bridge and any application-layer tracer);
-* the hosted :class:`~repro.core.fsm.StateMachine`.
+* listener registration (the bridge and any application-layer tracer).
+
+Each subclass runs its coordination processes as one
+:class:`~repro.core.fsm.StateMachine` per session it drives.
 
 Protocol behaviour lives in the SDP-specific subclasses
 (:mod:`repro.units`).
@@ -30,7 +32,6 @@ from .events import (
     Event,
     SDP_C_PARSER_SWITCH,
 )
-from .fsm import StateMachine, StateMachineDefinition
 from .parser import NetworkMeta, SdpParser
 from .session import TranslationSession
 
@@ -140,7 +141,6 @@ class Unit:
         runtime: UnitRuntime,
         parsers: dict[str, SdpParser],
         composer: SdpComposer,
-        fsm_definition: StateMachineDefinition,
         default_syntax: str,
     ):
         if default_syntax not in parsers:
@@ -154,7 +154,6 @@ class Unit:
         self.parse_counter = runtime.node.network.parse_counter(self.sdp_id)
         for parser in parsers.values():
             parser.parse_counter = self.parse_counter
-        self.machine = StateMachine(fsm_definition, trace=True)
         self._default_syntax = default_syntax
         self.current_syntax = default_syntax
         self._listeners: list[StreamListener] = []

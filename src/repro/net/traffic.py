@@ -16,6 +16,8 @@ manager calls :meth:`TrafficMonitor.retain`.
 
 from __future__ import annotations
 
+from array import array
+
 #: The trailing window every utilization reader asks for: the adaptation
 #: manager's traffic threshold and the gateway elector's ranking both look
 #: back this far, and segments retain exactly this much.
@@ -53,8 +55,8 @@ class TrafficMonitor:
         self._window_us = 0
         #: Bucket columns; the live window is ``[_head, len)``.  Both stay
         #: empty while the retention is 0.
-        self._times: list[int] = []
-        self._sizes: list[int] = []
+        self._times = array("q")
+        self._sizes = array("q")
         self._head = 0
         #: Latest time booked so far, and the column index of the newest
         #: late bucket (below ``_head`` once evicted, or when none exists).

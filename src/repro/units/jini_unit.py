@@ -14,7 +14,6 @@ Jini is repository-based, so the unit plays two roles:
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 from ..core.composer import ComposeError, OutboundMessage, SdpComposer
@@ -36,7 +35,6 @@ from ..core.events import (
     SDP_SERVICE_TYPE,
     bracket,
 )
-from ..core.fsm import StateMachineDefinition
 from ..core.parser import NetworkMeta, ParseError, SdpParser
 from ..core.cache import ServiceCache
 from ..core.session import TranslationSession
@@ -131,7 +129,6 @@ class JiniUnit(Unit):
             runtime,
             parsers={"jini": JiniEventParser()},
             composer=JiniEventComposer(),
-            fsm_definition=_lifecycle_fsm(),
             default_syntax="jini",
         )
         self.cache = cache
@@ -267,17 +264,6 @@ class JiniUnit(Unit):
         # Jini replies arrive over TCP inside RegistrarClient; the runtime
         # socket sees no unicast datagrams.
         return
-
-
-# Built once per process: a definition is never mutated once built, and
-# every StateMachine over it binds its own actions by name.
-@functools.cache
-def _lifecycle_fsm() -> StateMachineDefinition:
-    definition = StateMachineDefinition("jini-unit", "idle")
-    definition.add_tuple("idle", SDP_SERVICE_ALIVE, None, "registrar-known", [])
-    definition.add_tuple("registrar-known", SDP_SERVICE_ALIVE, None, "registrar-known", [])
-    definition.accept("registrar-known")
-    return definition
 
 
 __all__ = ["JiniUnit", "JiniEventParser", "JiniEventComposer"]

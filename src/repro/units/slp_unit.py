@@ -397,7 +397,6 @@ class SlpUnit(Unit):
             runtime,
             parsers={"slp": SlpEventParser()},
             composer=SlpEventComposer(runtime.node.network.memo(ENCODE_MEMO_SIZE)),
-            fsm_definition=_target_fsm(),
             default_syntax="slp",
         )
         self._wait_us = wait_us
@@ -433,7 +432,7 @@ class SlpUnit(Unit):
     # -- target side: foreign request translated into native SLP ------------
 
     def handle_foreign_request(self, stream: list[Event], session: TranslationSession) -> None:
-        machine = StateMachine(self.definition_for_session(), trace=True)
+        machine = StateMachine(self.definition_for_session())
         machine.bind_action("record_type", lambda e, m: None)  # type recorded below
         machine.bind_action("send_request", lambda e, m: self._send_native_request(session))
         machine.bind_action(

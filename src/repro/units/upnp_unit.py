@@ -449,7 +449,6 @@ class UpnpUnit(Unit):
             runtime,
             parsers={"ssdp": SsdpEventParser(), "xml": XmlDescriptionParser()},
             composer=UpnpEventComposer(),
-            fsm_definition=_target_fsm(),
             default_syntax="ssdp",
         )
         self._wait_us = wait_us
@@ -475,7 +474,7 @@ class UpnpUnit(Unit):
     # -- target side: foreign request -> native M-SEARCH (+ GET) -----------------
 
     def handle_foreign_request(self, stream: list[Event], session: TranslationSession) -> None:
-        machine = StateMachine(_target_fsm(), trace=True)
+        machine = StateMachine(_target_fsm())
         machine.bind_action("record_type", lambda e, m: None)
         machine.bind_action("send_msearch", lambda e, m: self._send_msearch(session))
         machine.bind_action(

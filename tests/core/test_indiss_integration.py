@@ -257,8 +257,10 @@ class TestFigure4Trace:
         ua = UserAgent(client_node)
         make_clock_device(service_node)
         indiss = Indiss(service_node, IndissConfig(units=("slp", "upnp")))
+        finished = []
+        indiss.session_listeners.append(finished.append)
         run_slp_search(net, ua)
-        steps = "\n".join(step for s in indiss.sessions for step in s.steps)
+        steps = "\n".join(step for s in finished for step in s.steps)
         assert "M-SEARCH" in steps
         assert "SDP_C_PARSER_SWITCH" in steps
         assert "SrvRply" in steps

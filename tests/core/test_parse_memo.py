@@ -63,6 +63,9 @@ class TestSharedUnitParse:
         unit parses, the rest consume the shared stream."""
         net = Network()
         gateways = [_gateway(net, f"gw{i}", seed=i) for i in range(4)]
+        finished = []
+        for gw in gateways:
+            gw.session_listeners.append(finished.append)
         client = net.add_node("client")
         from repro.sdp.slp import ServiceType, SlpConfig, UserAgent
 
@@ -82,11 +85,7 @@ class TestSharedUnitParse:
         assert any(u.streams_parsed == 0 and u.streams_shared > 0 for u in slp_units)
         # All gateways saw an identical stream (they all opened sessions
         # for the same service type).
-        types = {
-            s.vars.get("service_type")
-            for gw in gateways
-            for s in gw.sessions
-        }
+        types = {s.vars.get("service_type") for s in finished}
         assert types == {"printer"}
 
     def test_shared_streams_are_copies_not_aliases(self):

@@ -1,6 +1,8 @@
 """Session lifecycle: dedup window semantics and completion accounting."""
 
+import gc
 import itertools
+import weakref
 
 from repro.core.events import (
     Event,
@@ -114,6 +116,52 @@ class TestSessionManager:
         assert session.answered_from_cache
         assert session.vars["answered_by"] == "cache"
         assert manager.stats.answered_from_cache == 1
+
+    def test_completed_session_leaves_the_table(self):
+        manager = SessionManager(Clock(), 1_000, itertools.count(1).__next__)
+        first, second = _open(manager), _open(manager)
+        assert len(manager) == 2
+        assert first.complete_with([])
+        assert manager.active() == [second]
+        assert len(manager) == 1
+        assert manager.stats.opened == 2
+
+    def test_completed_session_is_freed_without_a_listener(self):
+        manager = SessionManager(Clock(), 1_000, itertools.count(1).__next__)
+        session = _open(manager)
+        session.log("step")
+        ref = weakref.ref(session)
+        session.complete_with([])
+        del session
+        gc.collect()
+        assert ref() is None
+        assert len(manager) == 0
+
+    def test_listener_sees_session_after_its_reply(self):
+        seen = []
+        manager = SessionManager(
+            Clock(), 1_000, itertools.count(1).__next__, listeners=[seen.append]
+        )
+        session = _open(
+            manager, on_reply=lambda stream, s: s.log("reply composed")
+        )
+        assert seen == []
+        session.complete_with([])
+        assert seen == [session]
+        assert session.steps == ["reply composed"]
+        assert not session.complete_with([])  # duplicate: no second release
+        assert seen == [session]
+
+    def test_fence_completes_and_drops_open_sessions_silently(self):
+        seen = []
+        manager = SessionManager(
+            Clock(), 1_000, itertools.count(1).__next__, listeners=[seen.append]
+        )
+        session = _open(manager)
+        manager.fence()
+        assert session.completed and len(manager) == 0
+        assert not session.complete_with([])  # a stale unit timer fires
+        assert seen == []
 
     def test_unknown_scope_rejected(self):
         try:

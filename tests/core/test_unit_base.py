@@ -9,7 +9,6 @@ from repro.core.events import (
     SDP_SERVICE_REQUEST,
     bracket,
 )
-from repro.core.fsm import StateMachineDefinition
 from repro.core.parser import NetworkMeta, ParseError, SdpParser
 from repro.core.unit import IndissTimings, Unit, UnitRuntime
 from repro.net import Endpoint, LatencyModel, Network
@@ -50,13 +49,10 @@ class NullComposer(SdpComposer):
 def make_unit(net=None):
     net = net if net is not None else Network(latency=LatencyModel(jitter_us=0))
     node = net.add_node("host")
-    definition = StateMachineDefinition("toy", "idle")
-    definition.add_tuple("idle", "*", None, "idle", [])
     unit = Unit(
         UnitRuntime(node),
         parsers={"outer": OuterParser(), "inner": InnerParser()},
         composer=NullComposer(),
-        fsm_definition=definition,
         default_syntax="outer",
     )
     unit.sdp_id = "toy"
@@ -86,15 +82,12 @@ class TestParserSwitching:
     def test_default_syntax_must_exist(self):
         net = Network(latency=LatencyModel(jitter_us=0))
         node = net.add_node("h")
-        definition = StateMachineDefinition("toy", "idle")
-        definition.add_tuple("idle", "*", None, "idle", [])
         with pytest.raises(ValueError):
             Unit(
                 UnitRuntime(node),
                 parsers={"outer": OuterParser()},
                 composer=NullComposer(),
-                fsm_definition=definition,
-                default_syntax="missing",
+                        default_syntax="missing",
             )
 
     def test_unparseable_returns_none(self):

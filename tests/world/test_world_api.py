@@ -194,7 +194,7 @@ class TestObservers:
     def test_custom_observer_registration(self):
         world = World.build(tiny_spec(), seed=0)
         world.add_observer(
-            "sessions", lambda w: {"sessions": len(w.instances[0].sessions)}
+            "sessions", lambda w: {"sessions": w.instances[0].stats.opened}
         )
         world.run_workload()
         row = world.collect("sessions")
