@@ -421,11 +421,17 @@ class Indiss:
         if not targets:
             session.complete_with([])
             return
+        self.fan_out(session, targets)
+
+    def fan_out(self, session: TranslationSession, targets: list[Unit]) -> None:
+        """Hand ``session``'s request to every unit in ``targets``, recorded
+        on the session so that its end releases it from each at once."""
         self.session_manager.record_translated()
         self.policy.mark_forwarded(self, session, targets)
+        session.targets = targets
         session.pending_targets = len(targets)
         for target in targets:
-            target.handle_foreign_request(classified.stream, session)
+            target.handle_foreign_request(session.request_stream, session)
 
     def _escalate_duplicate(
         self, origin_sdp: str, classified: ClassifiedStream, requester
@@ -454,11 +460,7 @@ class Indiss:
             obs.metrics.counter(
                 "federation.cold_start.escalations", sdp=origin_sdp
             ).inc()
-        self.session_manager.record_translated()
-        self.policy.mark_forwarded(self, session, targets)
-        session.pending_targets = len(targets)
-        for target in targets:
-            target.handle_foreign_request(classified.stream, session)
+        self.fan_out(session, targets)
 
     def _answer_from_cache(self, session: TranslationSession, record: ServiceRecord) -> None:
         self.session_manager.record_cache_answer(session)
@@ -614,11 +616,7 @@ class Indiss:
             obs.metrics.counter(
                 "core.session.retry_fallback", sdp=session.origin_sdp
             ).inc()
-        self.session_manager.record_translated()
-        self.policy.mark_forwarded(self, session, targets)
-        session.pending_targets = len(targets)
-        for target in targets:
-            target.handle_foreign_request(session.request_stream, session)
+        self.fan_out(session, targets)
         return True
 
     def _retry_dispatch(
@@ -649,11 +647,7 @@ class Indiss:
         if not targets:
             session.complete_with([])
             return
-        self.session_manager.record_translated()
-        self.policy.mark_forwarded(self, session, targets)
-        session.pending_targets = len(targets)
-        for target in targets:
-            target.handle_foreign_request(session.request_stream, session)
+        self.fan_out(session, targets)
 
     # -- advertisements --------------------------------------------------------------
 
@@ -671,8 +665,9 @@ class Indiss:
         The object survives only as an inert shell :meth:`restart` can
         revive (the simulator's stand-in for restarting the process on the
         same host).  Call *before* :meth:`Network.crash_node`, which tears
-        down the remaining transport state; stale timers scheduled by the
-        dead incarnation are fenced by the epoch counter and by the
+        down the remaining transport state.  Open sessions are released
+        from their units (cancelling their timers); other stale timers of
+        the dead incarnation are fenced by the epoch counter and by the
         completed flag forced onto every open session.
         """
         if self.crashed:

@@ -5,7 +5,8 @@ translation of processes and not simply of exchanged messages."  A session
 is one such process: it starts when a native request enters INDISS, spans
 any recursive requests the target unit must issue (Fig. 4's extra GET), and
 ends when the origin unit's composer has sent the native reply back to the
-requester.
+requester, and ends everywhere at once: every target unit it was fanned
+out to is released from it, and a unit that lost the race cancels its timers.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ class TranslationSession:
     #: Set by the bridge: receives the reply event stream for composition.
     on_reply: Optional[Callable[[list[Event], "TranslationSession"], None]] = None
     #: Set by the session manager: called once ``on_reply`` has returned,
-    #: to release the session from the manager's table.
+    #: to release the session from the manager's table and its targets.
     on_done: Optional[Callable[["TranslationSession"], None]] = None
+    #: The units the request was fanned out to (``Indiss.fan_out``).
+    targets: list[Any] = field(default_factory=list)
     completed: bool = False
     answered_from_cache: bool = False
     #: How many target units are still driving native discovery for this

@@ -6,11 +6,12 @@ suppressing native retransmissions inside the dedup window, and the
 completion/timeout/cache accounting the benchmarks and the adaptation
 layer read.
 
-It holds only *open* sessions: a session leaves the table once its reply
-has been delivered, and is handed to the session listeners on the way
-out.  What a run retains is therefore bounded by the translations in
-flight, not by how long the run lasts; the finished processes (Fig. 4's
-step logs) belong to whoever subscribed to them.
+It holds only *open* sessions: once its reply has been delivered, a
+session leaves the table, is released from every target unit it was
+fanned out to (each drops its state and cancels its timers), and is
+handed to the session listeners.  What a run retains is therefore bounded
+by the translations in flight, not by how long the run lasts; the finished
+processes (Fig. 4's step logs) belong to whoever subscribed to them.
 
 Duplicate suppression used to rebuild the whole recent-request dict on
 every incoming request (O(n) on the hot path); :class:`RequestDeduper`
@@ -178,19 +179,22 @@ class SessionManager:
 
     def _release(self, session: TranslationSession) -> None:
         del self._open[session.session_id]
+        for target in session.targets:
+            target.release(session)
         for listener in self.listeners:
             listener(session)
 
     def fence(self) -> None:
-        """Crash-stop: force-complete every open session and drop them all.
-
-        A completed session swallows ``complete_with()`` from any unit
-        timer still in flight, so nothing composes a reply on behalf of a
-        dead process; listeners never see these sessions, since no reply
-        was delivered.
+        """Crash-stop: release every open session from its target units
+        (their timers never fire) and force-complete it, so what cannot be
+        cancelled (a registrar lookup in flight) is swallowed by
+        ``complete_with()``; listeners never see these sessions, since no
+        reply was delivered.
         """
         for session in self._open.values():
             session.completed = True
+            for target in session.targets:
+                target.release(session)
         self._open.clear()
 
     def record_completed(self) -> None:

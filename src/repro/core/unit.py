@@ -13,7 +13,9 @@ shares:
 * listener registration (the bridge and any application-layer tracer).
 
 Each subclass runs its coordination processes as one
-:class:`~repro.core.fsm.StateMachine` per session it drives.
+:class:`~repro.core.fsm.StateMachine` per session it drives, kept with the
+session's pending timers in the unit's session table; :meth:`Unit.release`
+drops the entry and cancels the timers the moment the session ends.
 
 Protocol behaviour lives in the SDP-specific subclasses
 (:mod:`repro.units`).
@@ -21,10 +23,10 @@ Protocol behaviour lives in the SDP-specific subclasses
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..net import Endpoint, MEMO_MISS, Memo, Node
+from ..net import Endpoint, EventHandle, MEMO_MISS, Memo, Node
 from ..sdp.upnp.http import Headers
 from ..sdp.upnp.httpclient import http_request
 from .composer import SdpComposer
@@ -32,6 +34,7 @@ from .events import (
     Event,
     SDP_C_PARSER_SWITCH,
 )
+from .fsm import StateMachine
 from .parser import NetworkMeta, SdpParser
 from .session import TranslationSession
 
@@ -127,8 +130,18 @@ class UnitRuntime:
         )
         self.messages_sent += 1
 
-    def schedule(self, delay_us: int, callback: Callable[[], None]) -> None:
-        self.node.schedule(delay_us, callback)
+    def schedule(self, delay_us: int, callback: Callable[[], None]) -> EventHandle:
+        return self.node.schedule(delay_us, callback)
+
+
+@dataclass
+class SessionEntry:
+    """What a unit holds for one session it drives as the target side."""
+
+    session: TranslationSession
+    machine: StateMachine
+    #: Handles of the timers scheduled for the session; cancelled on release.
+    timers: list[EventHandle] = field(default_factory=list)
 
 
 class Unit:
@@ -157,8 +170,8 @@ class Unit:
         self._default_syntax = default_syntax
         self.current_syntax = default_syntax
         self._listeners: list[StreamListener] = []
-        #: Sessions this unit is currently driving as the *target* side.
-        self.active_sessions: dict[int, TranslationSession] = {}
+        #: Sessions this unit is driving as the *target* side, by session id.
+        self.sessions: dict[int, SessionEntry] = {}
         self.streams_parsed = 0
         #: Streams obtained from another receiver's parse of the same frame
         #: (the per-frame memo), rather than parsed here.
@@ -335,13 +348,41 @@ class Unit:
         """Drive this SDP's native discovery on behalf of a foreign request.
 
         Subclasses compose the native request(s), await replies on the
-        runtime socket, and finally call ``session.complete_with(stream)``.
+        runtime socket, and finally call ``session.complete_with(stream)``
+        (through :meth:`_finish` when they hold an entry in ``sessions``).
         """
         raise NotImplementedError
 
     def compose_reply(self, stream: list[Event], session: TranslationSession) -> None:
         """Assemble and send the native reply to the original requester."""
         raise NotImplementedError
+
+    # -- the per-session table ---------------------------------------------------
+
+    def _after(
+        self, session_id: int, delay_us: int, action: Callable[[SessionEntry], None]
+    ) -> None:
+        """Run ``action`` on the session's entry ``delay_us`` from now unless
+        the session is released first.  The timer captures the session id:
+        a cancelled timer stays queued and must not keep the session alive.
+        """
+        entry = self.sessions[session_id]
+        entry.timers.append(
+            self.runtime.schedule(delay_us, lambda: action(self.sessions[session_id]))
+        )
+
+    def _finish(self, session: TranslationSession, reply_stream: list[Event]) -> None:
+        """Leave the session: release this unit's state, then report."""
+        self.release(session)
+        session.complete_with(reply_stream)
+
+    def release(self, session: TranslationSession) -> None:
+        """Drop the session's entry and cancel its timers (once it has ended,
+        or this unit gave up on it); releasing twice is harmless."""
+        entry = self.sessions.pop(session.session_id, None)
+        if entry is not None:
+            for handle in entry.timers:
+                handle.cancel()
 
     def advertise_record(self, record) -> None:
         """Announce a foreign-learnt service in this SDP (active mode)."""
@@ -361,4 +402,4 @@ class Unit:
         raise NotImplementedError
 
 
-__all__ = ["Unit", "UnitRuntime", "IndissTimings", "StreamListener"]
+__all__ = ["Unit", "UnitRuntime", "SessionEntry", "IndissTimings", "StreamListener"]

@@ -210,9 +210,6 @@ class ShardedScheduler:
             if frame.dst_pid in local:
                 network.inject_cross(frame)
 
-    def shard_of(self, pid: int) -> Scheduler:
-        return self.shards[pid]
-
     # -- the window engine ----------------------------------------------------
 
     def _window_edge(self, target_us: int) -> int:

@@ -61,9 +61,6 @@ class PartitionMap:
     def count(self) -> int:
         return len(self.segments)
 
-    def partition_of(self, segment_name: str) -> int:
-        return self.pid_of[segment_name]
-
     def describe(self, hosts_of: Optional[dict[int, list[str]]] = None) -> str:
         """Human-readable rendering (the CLI's ``describe`` block)."""
         lines = [f"partitions: {self.count}"]

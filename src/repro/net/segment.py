@@ -242,9 +242,6 @@ class Router:
         self.topology_version += 1
         return link
 
-    def neighbors(self, name: str) -> list[str]:
-        return [link.other(name) for link in self._adjacency.get(name, ())]
-
     def links(self) -> list[tuple[str, str, int]]:
         """Every link once, as ``(a, b, latency_us)``, in creation order.
 

@@ -313,10 +313,6 @@ class PeriodicTask:
         self._handle = scheduler.schedule(first, self._fire, label="periodic")
 
     @property
-    def firings(self) -> int:
-        return self._firings
-
-    @property
     def stopped(self) -> bool:
         return self._stopped
 

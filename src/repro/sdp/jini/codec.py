@@ -46,11 +46,6 @@ class StreamWriter:
             self.write_utf(item)
         return self
 
-    def write_bytes(self, data: bytes) -> "StreamWriter":
-        self.write_int(len(data))
-        self._chunks.append(data)
-        return self
-
     def write_str_map(self, mapping: dict[str, str]) -> "StreamWriter":
         self.write_int(len(mapping))
         for key, value in mapping.items():
@@ -101,12 +96,6 @@ class StreamReader:
         if count < 0 or count > 10_000:
             raise JiniDecodeError(f"implausible list length {count}")
         return [self.read_utf() for _ in range(count)]
-
-    def read_bytes(self) -> bytes:
-        length = self.read_int()
-        if length < 0:
-            raise JiniDecodeError(f"negative byte-array length {length}")
-        return self._take(length)
 
     def read_str_map(self) -> dict[str, str]:
         count = self.read_int()

@@ -257,9 +257,6 @@ class ServiceAgent(_SlpEndpointBase):
         if self._known_da is not None:
             self._register_with_da(registration)
 
-    def deregister(self, url: str) -> None:
-        self.registrations = [r for r in self.registrations if r.url != url]
-
     def start_advertising(self, period_us: int | None = None) -> None:
         if self._advert_task is not None:
             return

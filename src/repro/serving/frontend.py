@@ -387,16 +387,11 @@ class QueryFrontend:
         session.vars["service_type"] = normalized
         session.vars["st"] = raw_type or normalized
         session.log("serving: cache miss; re-issuing through translation units")
-        targets = [indiss.units[name] for name in sorted(indiss.units)]
-        indiss.session_manager.record_translated()
-        indiss.policy.mark_forwarded(indiss, session, targets)
-        session.pending_targets = len(targets)
         self.stats.fallbacks += 1
         obs = self.node.network.obs
         if obs.on:
             obs.metrics.counter("serving.query.fallbacks", type=normalized).inc()
-        for target in targets:
-            target.handle_foreign_request(stream, session)
+        indiss.fan_out(session, [indiss.units[name] for name in sorted(indiss.units)])
 
 
 __all__ = ["QueryFrontend", "ServingStats", "FALLBACK_ORIGIN"]

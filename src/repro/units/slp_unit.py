@@ -46,7 +46,7 @@ from ..core.events import (
 from ..core.fsm import StateMachine, StateMachineDefinition
 from ..core.parser import NetworkMeta, ParseError, SdpParser
 from ..core.session import TranslationSession
-from ..core.unit import Unit, UnitRuntime
+from ..core.unit import SessionEntry, Unit, UnitRuntime
 from ..net import Endpoint, Memo, shared_decode
 from ..sdp.base import normalize_service_type, slp_service_type
 from ..sdp.slp.wire import ENCODE_MEMO_SIZE, WIRE_MEMO_KEY, decode_or_none
@@ -407,8 +407,8 @@ class SlpUnit(Unit):
         #: session completes with the URLs it already has.
         self._attr_wait_us = attr_wait_us
         self._next_xid = 0x4000
-        self._sessions_by_xid: dict[int, TranslationSession] = {}
-        self._machines: dict[int, StateMachine] = {}
+        #: Native xid -> id of the session its replies belong to.
+        self._sessions_by_xid: dict[int, int] = {}
         #: Directory agent learnt from DAAdverts seen by the monitor; when
         #: present, translated advertisements are also registered there
         #: (the paper's "repository" discovery models, §2).
@@ -447,8 +447,8 @@ class SlpUnit(Unit):
         )
         machine.bind_action("fail", lambda e, m: self._fail(session, e))
         machine.bind_action("complete", lambda e, m: self._complete(session))
-        self._machines[session.session_id] = machine
-        self.active_sessions[session.session_id] = session
+        sid = session.session_id
+        self.sessions[sid] = SessionEntry(session, machine)
 
         for event in stream:
             if event.type is SDP_SERVICE_TYPE:
@@ -456,18 +456,23 @@ class SlpUnit(Unit):
                     event.get("normalized") or event.get("type", "")
                 )
         delay = self.runtime.timings.parse_us + self.runtime.timings.dispatch_us
-        self.runtime.schedule(delay, lambda: machine.feed_all(stream))
+        self._after(sid, delay, lambda entry: entry.machine.feed_all(stream))
         # Convergence timeout: complete empty-handed if nothing answers.
-        self.runtime.schedule(self._wait_us + delay, lambda: self._timeout(session))
+        self._after(sid, self._wait_us + delay, self._timeout)
 
     def definition_for_session(self) -> StateMachineDefinition:
         return _target_fsm()
 
-    def _send_native_request(self, session: TranslationSession) -> None:
+    def _route_xid(self, session: TranslationSession, key: str) -> int:
+        """Draw the next native xid, noted in ``session.vars[key]``."""
         self._next_xid = self._next_xid + 1 if self._next_xid < 0xFFFF else 0x4000
         xid = self._next_xid
-        session.vars["native_xid"] = xid
-        self._sessions_by_xid[xid] = session
+        session.vars[key] = xid
+        self._sessions_by_xid[xid] = session.session_id
+        return xid
+
+    def _send_native_request(self, session: TranslationSession) -> None:
+        xid = self._route_xid(session, "native_xid")
         messages = self.composer.compose(session.request_stream, session)
         session.log(f"slp-unit: composed native SrvRqst xid={xid}")
         self.runtime.schedule(
@@ -488,10 +493,7 @@ class SlpUnit(Unit):
         if not urls:
             self._complete(session)
             return
-        self._next_xid = self._next_xid + 1 if self._next_xid < 0xFFFF else 0x4000
-        xid = self._next_xid
-        session.vars["attr_xid"] = xid
-        self._sessions_by_xid[xid] = session
+        xid = self._route_xid(session, "attr_xid")
         request = AttrRqst(
             header=Header(FunctionId.ATTRRQST, xid=xid),
             url=str(urls[0]),
@@ -506,21 +508,16 @@ class SlpUnit(Unit):
         message = OutboundMessage(
             encode(request), destination, decode_hint=(WIRE_MEMO_KEY, request)
         )
+        compose_us = self.runtime.timings.compose_us
         self.runtime.schedule(
-            self.runtime.timings.compose_us,
-            lambda: self._send_all([message], self.runtime.send_udp),
+            compose_us, lambda: self._send_all([message], self.runtime.send_udp)
         )
-        self.runtime.schedule(
-            self._attr_wait_us + self.runtime.timings.compose_us,
-            lambda: self._attr_timeout(session),
-        )
+        self._after(session.session_id, self._attr_wait_us + compose_us, self._attr_timeout)
 
-    def _attr_timeout(self, session: TranslationSession) -> None:
+    def _attr_timeout(self, entry: SessionEntry) -> None:
         """AttrRply never came: finish with the URLs, minus attributes."""
-        if session.completed or session.session_id not in self._machines:
-            return
-        session.log("slp-unit: AttrRqst unanswered; completing without attributes")
-        self._complete(session)
+        entry.session.log("slp-unit: AttrRqst unanswered; completing without attributes")
+        self._complete(entry.session)
 
     def _on_native_datagram(self, raw: bytes, meta: NetworkMeta) -> None:
         stream = self.parse_raw(raw, meta)
@@ -530,17 +527,15 @@ class SlpUnit(Unit):
         for event in stream:
             if event.type is SDP_REQ_ID:
                 xid = int(event.get("xid", -1))
-        session = self._sessions_by_xid.get(xid) if xid is not None else None
-        if session is None or session.completed:
+        sid = self._sessions_by_xid.get(xid) if xid is not None else None
+        if sid is None:
             return
+        session = self.sessions[sid].session
         if meta.source is not None:
             session.vars["responder"] = meta.source.host
         session.vars.setdefault("ttl", _first_ttl(stream))
-        machine = self._machines.get(session.session_id)
-        if machine is None:
-            return
-        self.runtime.schedule(
-            self.runtime.timings.parse_us, lambda: machine.feed_all(stream)
+        self._after(
+            sid, self.runtime.timings.parse_us, lambda entry: entry.machine.feed_all(stream)
         )
 
     def _complete(self, session: TranslationSession) -> None:
@@ -562,24 +557,19 @@ class SlpUnit(Unit):
             events.append(Event.of(SDP_RES_ATTR, name=name, value=value))
         session.vars["answered_by"] = "slp"
         session.log("slp-unit: native reply parsed, completing session")
-        self._teardown(session)
-        session.complete_with(bracket(events, sdp="slp"))
+        self._finish(session, bracket(events, sdp="slp"))
 
     def _fail(self, session: TranslationSession, event: Event) -> None:
-        self._teardown(session)
-        session.complete_with(
+        self._finish(
+            session,
             bracket(
                 [Event.of(SDP_SERVICE_RESPONSE), Event.of(SDP_RES_ERR, code=event.get("code", 10))],
                 sdp="slp",
-            )
+            ),
         )
 
-    def _timeout(self, session: TranslationSession) -> None:
-        if session.completed:
-            # Another target unit answered first; release our per-session
-            # state (machine, xid routes) all the same.
-            self._teardown(session)
-            return
+    def _timeout(self, entry: SessionEntry) -> None:
+        session = entry.session
         if session.vars.get("urls"):
             # The convergence window closed mid-process (typically the
             # recursive AttrRqst went unanswered — e.g. the SrvRply came
@@ -589,14 +579,12 @@ class SlpUnit(Unit):
             self._complete(session)
             return
         session.log("slp-unit: native search timed out with no reply")
-        self._teardown(session)
-        session.complete_with(
-            bracket([Event.of(SDP_SERVICE_RESPONSE), Event.of(SDP_RES_OK)], sdp="slp")
+        self._finish(
+            session, bracket([Event.of(SDP_SERVICE_RESPONSE), Event.of(SDP_RES_OK)], sdp="slp")
         )
 
-    def _teardown(self, session: TranslationSession) -> None:
-        self.active_sessions.pop(session.session_id, None)
-        self._machines.pop(session.session_id, None)
+    def release(self, session: TranslationSession) -> None:
+        super().release(session)
         for key in ("native_xid", "attr_xid"):
             xid = session.vars.get(key)
             if xid is not None:

@@ -49,7 +49,7 @@ from ..core.events import (
 from ..core.fsm import StateMachine, StateMachineDefinition
 from ..core.parser import NetworkMeta, ParseError, SdpParser
 from ..core.session import TranslationSession
-from ..core.unit import Unit, UnitRuntime
+from ..core.unit import SessionEntry, Unit, UnitRuntime
 from ..net import Endpoint, Memo
 from ..sdp.base import ServiceRecord, normalize_service_type, upnp_device_type
 from ..sdp.upnp import (
@@ -459,8 +459,8 @@ class UpnpUnit(Unit):
         #: is what makes the paper's Fig. 9b best case possible.
         self._responder_delay_us = responder_delay_us
         self._rng = random.Random(seed)
-        self._sessions_awaiting_ssdp: list[TranslationSession] = []
-        self._machines: dict[int, StateMachine] = {}
+        #: Ids of the sessions whose M-SEARCH awaits a response, oldest first.
+        self._sessions_awaiting_ssdp: list[int] = []
         self._resolved_locations: set[str] = set()
         #: Encode-once NOTIFY cache for re-advertised records, keyed by
         #: record identity: (service_type, url) -> (attribute fingerprint,
@@ -491,24 +491,23 @@ class UpnpUnit(Unit):
             ),
         )
         machine.bind_action("complete", lambda e, m: self._complete(session))
-        self._machines[session.session_id] = machine
-        self.active_sessions[session.session_id] = session
+        sid = session.session_id
+        self.sessions[sid] = SessionEntry(session, machine)
 
         for event in stream:
             if event.type is SDP_SERVICE_TYPE:
                 session.vars["service_type"] = str(
                     event.get("normalized") or event.get("type", "")
                 )
-        session.vars["reply_events"] = []
         delay = self.runtime.timings.parse_us + self.runtime.timings.dispatch_us
-        self.runtime.schedule(delay, lambda: machine.feed_all(stream))
-        self.runtime.schedule(self._wait_us + delay, lambda: self._timeout(session))
+        self._after(sid, delay, lambda entry: entry.machine.feed_all(stream))
+        self._after(sid, self._wait_us + delay, self._timeout)
 
     def _send_msearch(self, session: TranslationSession) -> None:
         messages = self.composer.compose(session.request_stream, session)
         session.log("upnp-unit: composed M-SEARCH for "
                     f"{session.vars.get('service_type', '?')}")
-        self._sessions_awaiting_ssdp.append(session)
+        self._sessions_awaiting_ssdp.append(session.session_id)
 
         def transmit() -> None:
             for message in messages:
@@ -524,39 +523,34 @@ class UpnpUnit(Unit):
     def _on_native_datagram(self, raw: bytes, meta: NetworkMeta) -> None:
         """Unicast SSDP search responses to our own M-SEARCHes."""
         stream = self.parse_raw(raw, meta)
-        if stream is None:
+        if stream is None or not self._sessions_awaiting_ssdp:
             return
         # Deliver to the oldest session still waiting for an SSDP response.
-        for session in list(self._sessions_awaiting_ssdp):
-            if session.completed:
-                self._sessions_awaiting_ssdp.remove(session)
-                continue
-            machine = self._machines.get(session.session_id)
-            if machine is None:
-                continue
-            self._sessions_awaiting_ssdp.remove(session)
-            session.log("upnp-unit: SSDP response parsed "
-                        "(no SDP_RES_SERV_URL yet, need description)")
-            self.runtime.schedule(
-                self.runtime.timings.parse_us, lambda m=machine, s=stream: m.feed_all(s)
-            )
-            return
+        sid = self._sessions_awaiting_ssdp.pop(0)
+        self.sessions[sid].session.log(
+            "upnp-unit: SSDP response parsed (no SDP_RES_SERV_URL yet, need description)"
+        )
+        self._after(
+            sid, self.runtime.timings.parse_us, lambda entry: entry.machine.feed_all(stream)
+        )
 
     def _send_get_description(self, session: TranslationSession) -> None:
         location = str(session.vars.get("location", ""))
         session.log(f"upnp-unit: GET {location} (recursive request)")
         xml_parser: XmlDescriptionParser = self.parsers["xml"]  # type: ignore[assignment]
         xml_parser.base_url = location
-        machine = self._machines.get(session.session_id)
+        sid = session.session_id
 
         def handle_response(response: HttpResponse) -> None:
             raw = response.render()
             stream = self.parse_raw(raw, NetworkMeta(transport="tcp"))
-            if stream is None or machine is None:
+            # A description that arrives after the session ended is dropped.
+            entry = self.sessions.get(sid)
+            if stream is None or entry is None:
                 return
-            session.log("upnp-unit: SDP_C_PARSER_SWITCH -> xml parser")
+            entry.session.log("upnp-unit: SDP_C_PARSER_SWITCH -> xml parser")
             delay = self.runtime.timings.parse_us + self.runtime.timings.xml_parse_us
-            self.runtime.schedule(delay, lambda: machine.feed_all(stream))
+            self._after(sid, delay, lambda entry: entry.machine.feed_all(stream))
 
         self.runtime.http("GET", location, on_response=handle_response)
 
@@ -578,26 +572,24 @@ class UpnpUnit(Unit):
             events.append(Event.of(SDP_RES_ATTR, name=name, value=value))
         session.vars["answered_by"] = "upnp"
         session.log("upnp-unit: emitting SDP_RES_SERV_URL reply stream")
-        self._teardown(session)
-        session.complete_with(bracket(events, sdp="upnp"))
+        self._finish(session, bracket(events, sdp="upnp"))
 
-    def _timeout(self, session: TranslationSession) -> None:
-        if session.completed:
-            # Another target unit answered first; release our per-session
-            # state (machine, awaiting-SSDP entry) all the same.
-            self._teardown(session)
-            return
+    def _timeout(self, entry: SessionEntry) -> None:
+        session = entry.session
         session.log("upnp-unit: search timed out with no device response")
-        self._teardown(session)
-        session.complete_with(
-            bracket([Event.of(SDP_SERVICE_RESPONSE), Event.of(SDP_RES_OK)], sdp="upnp")
-        )
+        reply = bracket([Event.of(SDP_SERVICE_RESPONSE), Event.of(SDP_RES_OK)], sdp="upnp")
+        if entry.machine.state == "fetching_description":
+            # The description GET cannot be recalled: give up, but stay
+            # joined so a description that still arrives while the session
+            # is open answers it.
+            session.complete_with(reply)
+            return
+        self._finish(session, reply)
 
-    def _teardown(self, session: TranslationSession) -> None:
-        self.active_sessions.pop(session.session_id, None)
-        self._machines.pop(session.session_id, None)
-        if session in self._sessions_awaiting_ssdp:
-            self._sessions_awaiting_ssdp.remove(session)
+    def release(self, session: TranslationSession) -> None:
+        super().release(session)
+        if session.session_id in self._sessions_awaiting_ssdp:
+            self._sessions_awaiting_ssdp.remove(session.session_id)
 
     # -- origin side: reply composed back to the native UPnP requester ------------
 

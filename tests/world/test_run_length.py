@@ -1,10 +1,10 @@
 """What INDISS retains follows the translations in flight, not run length.
 
 A translation session is a process (paper §2.2): it opens when a native
-request enters INDISS and ends when the composed reply leaves.  Once it
-has ended, nothing in the simulator holds it, so running a world twice as
-long must not leave more sessions alive than the first half did, beyond
-those still open at the end.
+request enters INDISS and ends when the composed reply leaves.  It ends
+everywhere at once: once it has ended, neither INDISS nor any unit it was
+fanned out to holds it, so at every horizon the live sessions are exactly
+the open ones, however long the world has run.
 """
 
 import gc
@@ -28,15 +28,26 @@ def test_media_city_sessions_do_not_accumulate_with_run_length():
     world = World.build(spec, seed=0)
     world.run_workload()
     horizon_us = world.net.scheduler.now_us
-    live_at_t = len(_live_sessions())
-    opened_at_t = _opened(world)
-
-    world.run(horizon_us)
-    live = _live_sessions()
-    still_open = sum(1 for session in live if not session.completed)
-
-    # The second half opens at least half as many sessions again, all of
-    # which a store keeping finished sessions would still hold.
-    assert _opened(world) - opened_at_t >= opened_at_t // 2 > 0
-    assert len(live) <= live_at_t + still_open
-    assert still_open == sum(len(i.session_manager) for i in world.instances)
+    opened = []
+    for horizon in (1, 2, 3):
+        if horizon > 1:
+            world.run(horizon_us)
+        opened.append(_opened(world))
+        open_ids = {
+            session.session_id
+            for instance in world.instances
+            for session in instance.session_manager.active()
+        }
+        live_ids = [session.session_id for session in _live_sessions()]
+        assert sorted(live_ids) == sorted(open_ids), f"at {horizon}T"
+        held = {
+            session_id
+            for instance in world.instances
+            for unit in instance.units.values()
+            for session_id in unit.sessions
+        }
+        assert held <= open_ids, f"at {horizon}T"
+    # Each later horizon opens at least half as many sessions again, all
+    # of which a store keeping finished sessions would still hold.
+    for before, after in zip(opened, opened[1:]):
+        assert after - before >= opened[0] // 2 > 0

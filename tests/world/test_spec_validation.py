@@ -1,6 +1,7 @@
 """Spec-layer validation and the ``python -m repro.world`` CLI."""
 
 import dataclasses
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,9 +38,11 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _cli(*args):
+    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return subprocess.run(
-        [sys.executable, "-m", "repro.world", *args],
-        capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        [sys.executable, "-m", "repro.world", *args], capture_output=True, text=True, env=env,
     )
 
 
