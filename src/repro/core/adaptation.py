@@ -82,7 +82,6 @@ class AdaptationManager:
             indiss.node.network.traffic.retain(window_us)
         self.active = False
         self.history: list[AdaptationEvent] = []
-        self.readvertisements = 0
         self._check_task = indiss.node.every(
             check_period_us, self._check, initial_delay_us=check_period_us
         )
@@ -153,7 +152,6 @@ class AdaptationManager:
             return
         for record in self.indiss.cache.lookup_any():
             self.indiss.readvertise(record, exclude="")
-            self.readvertisements += 1
 
 
 __all__ = ["AdaptationManager", "AdaptationEvent", "segment_utilization"]

@@ -56,7 +56,6 @@ class SdpComposer(ABC):
     extra_understood: frozenset[EventType] = frozenset()
 
     def __init__(self) -> None:
-        self.messages_composed = 0
         self.events_discarded = 0
         self.discarded_types: set[str] = set()
 

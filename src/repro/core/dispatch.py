@@ -372,7 +372,7 @@ class AdvertisementPipeline:
             # re-announcement just restarts their TTL (UPnP max-age
             # semantics) — only a genuinely new location is worth the
             # recursive description fetch.
-            if self.indiss.config.cache_discoveries and self._refresh_alive(stream):
+            if self._refresh_alive(stream):
                 return
             unit = self.indiss.units.get(origin_sdp)
             if unit is not None:
@@ -389,8 +389,7 @@ class AdvertisementPipeline:
         return False
 
     def resolved(self, record: ServiceRecord) -> None:
-        if self.indiss.config.cache_discoveries:
-            self.indiss.cache.store(record)
+        self.indiss.cache.store(record)
         if self.indiss.config.translate_advertisements:
             self.readvertise(record, exclude=record.source_sdp)
 
@@ -403,8 +402,6 @@ class AdvertisementPipeline:
 
     def handle_response(self, origin_sdp: str, stream: list[Event]) -> None:
         """Passively learn from replies flying past the monitor."""
-        if not self.indiss.config.cache_discoveries:
-            return
         from ..units.records import record_from_stream
 
         record = record_from_stream(stream, source_sdp=origin_sdp)

@@ -140,7 +140,6 @@ class StateMachine:
         self._actions = dict(actions or {})
         self._trace_enabled = trace
         self.trace: list[TransitionRecord] = []
-        self.events_seen = 0
         self.events_ignored = 0
 
     @property
@@ -165,7 +164,6 @@ class StateMachine:
         Events matching no transition are filtered (paper §2.3: "incoming
         events are filtered"), not errors.
         """
-        self.events_seen += 1
         for transition in self.definition.transitions:
             if transition.state != self.state:
                 continue

@@ -68,8 +68,6 @@ class IndissConfig:
     instantiate: str = "eager"
     #: Answer requests from the service cache when possible (Fig. 9b).
     answer_from_cache: bool = False
-    #: Learn services from observed responses/advertisements.
-    cache_discoveries: bool = True
     #: Re-announce foreign services through other units (Fig. 6 active mode).
     translate_advertisements: bool = False
     #: Dispatch policy name ("fanout", "gateway-forward", "shard-ring");
@@ -100,9 +98,6 @@ class IndissConfig:
     upnp_wait_us: int = 150_000
     #: SLP unit convergence wait.
     slp_wait_us: int = 15_000
-    #: Bound on the SLP unit's recursive AttrRqst stall (a unicast round
-    #: trip); raise it on high-latency links so attributes are not lost.
-    slp_attr_wait_us: int = 30_000
     seed: int = 0
 
 
@@ -156,7 +151,6 @@ class Indiss:
         #: on fire, so a timer scheduled by a dead incarnation can never
         #: act on a restarted one.
         self._epoch = 0
-        self.detections: list[str] = []
         self._factories = dict(unit_factories or {})
         #: Flight-recorder state (only written while recording is on):
         #: the current frame's identity (crc32 of the raw payload — stable
@@ -200,7 +194,7 @@ class Indiss:
         return UnitRuntime(
             self.node,
             timings=self.config.timings,
-            register_own_port=self.monitor.ignore_endpoint,
+            origin=self.monitor,
         )
 
     def _default_factory(self, sdp_id: str) -> Unit:
@@ -211,11 +205,7 @@ class Indiss:
 
         runtime = self._make_runtime()
         if sdp_id == "slp":
-            return SlpUnit(
-                runtime,
-                wait_us=self.config.slp_wait_us,
-                attr_wait_us=self.config.slp_attr_wait_us,
-            )
+            return SlpUnit(runtime, wait_us=self.config.slp_wait_us)
         if sdp_id == "upnp":
             return UpnpUnit(
                 runtime,
@@ -240,7 +230,6 @@ class Indiss:
         return sorted(self.units)
 
     def _on_detected(self, sdp_id: str) -> None:
-        self.detections.append(sdp_id)
         if self.config.instantiate == "on-detection" and sdp_id in self.config.units:
             self._ensure_unit(sdp_id)
 
@@ -531,7 +520,7 @@ class Indiss:
             self.session_manager.record_timeout()
             session.log("indiss: no service found; staying silent")
             return
-        if self.config.cache_discoveries and not session.answered_from_cache:
+        if not session.answered_from_cache:
             from ..units.records import record_from_stream
 
             record = record_from_stream(
@@ -678,7 +667,6 @@ class Indiss:
         self.session_manager.fence()
         self.units.clear()
         self.cache = ServiceCache(lambda: self.node.now_us)
-        self.detections.clear()
 
     def restart(self) -> None:
         """Crash-recovery: rebuild the volatile layers exactly as

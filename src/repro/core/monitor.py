@@ -6,6 +6,11 @@ the monitored ports without doing any computation, data interpretation or
 data transformation".  Raw data plus the identified SDP are handed to the
 raw handler (the INDISS bridge); detection callbacks let the adaptation
 layer react to protocols appearing and disappearing.
+
+Frames INDISS's own units send loop back to the monitor on their host.
+The units' sockets stamp each frame with the monitor as its origin
+(:attr:`repro.net.Datagram.origin`), so the monitor drops its own frames
+by that token alone and keeps no per-send state.
 """
 
 from __future__ import annotations
@@ -55,13 +60,8 @@ class MonitorComponent:
         self.sightings: dict[str, SdpSighting] = {}
         self.on_detected: Optional[DetectionHandler] = None
         self.on_raw: Optional[RawHandler] = None
-        self.unknown_port_messages = 0
         self._stale_after_us = stale_after_us
         self._sockets: list[UdpSocket] = []
-        #: (host, port) pairs whose outbound traffic must be ignored —
-        #: INDISS's own sockets, registered by the unit runtime so the
-        #: system never re-translates its own messages.
-        self._own_endpoints: set[tuple[str, int]] = set()
 
         sdp_ids = scan if scan is not None else tuple(self.registry.known_sdps())
         bound: set[int] = set()
@@ -88,23 +88,13 @@ class MonitorComponent:
             socket.close()
         self._sockets.clear()
 
-    # -- self-traffic suppression -------------------------------------------
-
-    def ignore_endpoint(self, host: str, port: int) -> None:
-        self._own_endpoints.add((host, port))
-
-    def _is_own_traffic(self, datagram: Datagram) -> bool:
-        return (datagram.source.host, datagram.source.port) in self._own_endpoints
-
     # -- detection ----------------------------------------------------------------
 
     def _on_datagram(self, datagram: Datagram) -> None:
-        if self._is_own_traffic(datagram):
-            return
-        port = datagram.destination.port
-        sdp_id = self.registry.sdp_for_port(port)
+        if datagram.origin is self:
+            return  # sent by this instance's units: never re-translated
+        sdp_id = self.registry.sdp_for_port(datagram.destination.port)
         if sdp_id is None:
-            self.unknown_port_messages += 1
             return
         now = self.node.now_us
         sighting = self.sightings.get(sdp_id)

@@ -65,14 +65,18 @@ _POOLED_TYPES = frozenset({str, int, bool, bytes, type(None)})
 
 
 class UnitRuntime:
-    """Node-facing I/O for one unit."""
+    """Node-facing I/O for one unit.
+
+    Every UDP frame the runtime sends carries ``origin`` (the INDISS
+    instance's monitor), so that monitor never re-translates it.
+    """
 
     def __init__(self, node: Node, timings: IndissTimings | None = None,
-                 register_own_port: Callable[[str, int], None] | None = None):
+                 origin: object = None):
         self.node = node
         self.timings = timings if timings is not None else IndissTimings()
-        self._register_own_port = register_own_port
         self._socket = node.udp.socket()
+        self._socket.origin = origin
         self._socket.on_datagram(self._dispatch_datagram)
         self._datagram_handler: Optional[Callable[[bytes, NetworkMeta], None]] = None
         self.messages_sent = 0
@@ -97,8 +101,6 @@ class UnitRuntime:
     ) -> None:
         self._socket.sendto(payload, destination, decode_hint=decode_hint)
         self.messages_sent += 1
-        if self._register_own_port is not None and self._socket.port is not None:
-            self._register_own_port(self.node.address, self._socket.port)
 
     def send_udp_from_new_socket(
         self, payload: bytes, destination: Endpoint, decode_hint: tuple | None = None
@@ -109,9 +111,8 @@ class UnitRuntime:
         back to the node's pool.
         """
         socket = self.node.udp.socket()
+        socket.origin = self._socket.origin
         socket.sendto(payload, destination, decode_hint=decode_hint)
-        if self._register_own_port is not None and socket.port is not None:
-            self._register_own_port(self.node.address, socket.port)
         socket.close()
         self.messages_sent += 1
 

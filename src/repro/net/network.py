@@ -818,11 +818,13 @@ class Network:
         destination: Endpoint,
         payload: bytes,
         decode_hint: tuple | None = None,
+        origin: object = None,
     ) -> None:
         """Route one UDP datagram (unicast, multicast, or broadcast).
 
         ``decode_hint`` pre-seeds the frame's decode memo with the sender's
-        structured form of the payload (see :meth:`UdpSocket.sendto`).
+        structured form of the payload, and ``origin`` is the sending
+        socket's provenance token (see :meth:`UdpSocket.sendto`).
         Every booking of the frame uses one ``scheduler.now_us`` reading
         (only the façade property returns the sending shard's clock).
         """
@@ -834,7 +836,7 @@ class Network:
         multicast = is_multicast(host)
         now = self.scheduler.now_us
         self.traffic.record(now, len(payload))
-        datagram = self._frame(payload, source, destination, decode_hint)
+        datagram = self._frame(payload, source, destination, decode_hint, origin)
         if multicast:
             self._deliver_multicast(sender, datagram, now)
         elif host == BROADCAST:
@@ -988,9 +990,10 @@ class Network:
           does not depend on cross-district traffic interleaving;
         * one event delivers to every bound socket of the target (instead
           of one event per socket), so ``events_fired`` is backend-free;
-        * the frame is rebuilt without the sender's decode seed — the
-          multiprocess backend ships wire bytes only, so the in-process
-          paths must re-decode on the far side too;
+        * the frame is rebuilt without the sender's decode seed or origin
+          — the multiprocess backend ships wire bytes only, so the
+          in-process paths must re-decode on the far side too (an
+          origin only matters on the sender's own host);
         * the target is resolved by address *at delivery time*: a host
           that churned out while the frame crossed the link drops it.
 
@@ -1043,18 +1046,19 @@ class Network:
         )
 
     def _frame(
-        self, payload: bytes, source: Endpoint, destination: Endpoint, decode_hint=None
+        self, payload: bytes, source: Endpoint, destination: Endpoint,
+        decode_hint=None, origin=None,
     ) -> Datagram:
-        """A new frame, its memo seeded with ``decode_hint`` if given.  With
-        ``parse_once`` off (A/B mode) every frame carries the shared null
-        memo, so each receiver pays its own decode."""
+        """A new frame from ``origin``, its memo seeded with ``decode_hint``
+        if given.  With ``parse_once`` off (A/B mode) every frame carries
+        the shared null memo, so each receiver pays its own decode."""
         if not self.parse_once:
-            return Datagram(payload, source, destination, NULL_MEMO)
+            return Datagram(payload, source, destination, NULL_MEMO, origin)
         if decode_hint is None:
-            return Datagram(payload, source, destination)
+            return Datagram(payload, source, destination, None, origin)
         memo = FrameMemo()
         memo.store(decode_hint[0], payload, decode_hint[1])
-        return Datagram(payload, source, destination, memo)
+        return Datagram(payload, source, destination, memo, origin)
 
     def _deliver_cross_frame(
         self, dest_host: str, dest_port: int, datagram: Datagram

@@ -56,7 +56,6 @@ class TcpConnection:
         #: used to keep per-direction FIFO ordering.
         self._last_arrival_us = 0
         self.bytes_sent = 0
-        self.bytes_received = 0
 
     # -- wiring --------------------------------------------------------------
 
@@ -130,7 +129,6 @@ class TcpConnection:
     def _receive(self, data: bytes, memo=None) -> None:
         if self._closed:
             return
-        self.bytes_received += len(data)
         if self._data_handler is not None:
             self.inbound_memo = memo
             try:
@@ -180,7 +178,6 @@ class TcpListener:
         self.port = port
         self._on_connection = on_connection
         self._closed = False
-        self.accepted = 0
 
     @property
     def closed(self) -> bool:
@@ -193,9 +190,7 @@ class TcpListener:
 
     def _accept(self, remote: Endpoint, local_port: int) -> TcpConnection:
         local = Endpoint(self._node.address, local_port)
-        connection = TcpConnection(self._node, local, remote)
-        self.accepted += 1
-        return connection
+        return TcpConnection(self._node, local, remote)
 
 
 class TcpStack:

@@ -206,6 +206,10 @@ class Datagram:
     #: :meth:`ensure_memo` — frames nobody memoizes (TCP-ish payloads,
     #: single-receiver traffic without a decode hint) never allocate one.
     memo: Optional[FrameMemo] = field(default=None, compare=False, repr=False)
+    #: The sending socket's :attr:`UdpSocket.origin`: provenance for
+    #: receivers on the same simulated host, never on the wire, and
+    #: excluded from equality/hash like the memo.
+    origin: object = field(default=None, compare=False, repr=False)
 
     def ensure_memo(self) -> FrameMemo:
         """The frame's memo, created on first demand.
@@ -265,6 +269,8 @@ class UdpSocket:
         self.receive_filter: Optional[ReceiveFilter] = None
         #: Datagrams delivered before a handler was attached (tests read this).
         self.inbox: list[Datagram] = []
+        #: Stamped on every frame this socket sends (:attr:`Datagram.origin`).
+        self.origin: object = None
         self.sent_count = 0
         self.received_count = 0
 
@@ -371,7 +377,9 @@ class UdpSocket:
             # Match OS behaviour: sending auto-binds to an ephemeral port.
             self.bind(node.udp.ephemeral_port())
             source = self._source
-        node.network.send_datagram(node, source, destination, bytes(payload), decode_hint)
+        node.network.send_datagram(
+            node, source, destination, bytes(payload), decode_hint, self.origin
+        )
         self.sent_count += 1
 
     def deliver(self, datagram: Datagram) -> None:

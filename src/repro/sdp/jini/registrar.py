@@ -86,7 +86,6 @@ class LookupService:
         self.lease_s = lease_s
         self._lease_expiry_us: dict[str, int] = {}
         self._id_counter = service_id_seed
-        self.lookups_served = 0
         self.leases_expired = 0
         self._parse_counter = node.network.parse_counter("jini")
         #: Encode-once announcement: the packet's fields never change, so
@@ -238,7 +237,6 @@ class LookupService:
     def _do_lookup(self, connection, template: ServiceTemplate) -> None:
         self._evict_expired_leases()
         matches = [item for item in self.registry.values() if template.matches(item)]
-        self.lookups_served += 1
         writer = StreamWriter()
         writer.write_byte(OP_ITEMS)
         writer.write_int(len(matches))

@@ -419,7 +419,6 @@ class UserAgent(_SlpEndpointBase):
         self.passive = passive
         self.adverts_seen: list[SAAdvert] = []
         self.on_advert: Optional[Callable[[SAAdvert], None]] = None
-        self.replies_received = 0
 
     @property
     def known_da(self) -> Optional[Endpoint]:
@@ -534,7 +533,6 @@ class UserAgent(_SlpEndpointBase):
             search = self._pending.get(message.header.xid)
             if search is None:
                 return
-            self.replies_received += 1
             delay = self.config.timings.reply_parse_us
 
             def deliver() -> None:

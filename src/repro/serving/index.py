@@ -2,12 +2,12 @@
 
 The cache itself is a flat ``(type, url) -> entry`` dict — perfect for
 the translation pipeline's "first live record of this type" probe, linear
-for everything the serving tier wants to answer: by URL, by type prefix,
-by attribute, by district.  ``CacheIndex`` maintains those inverted maps
-**incrementally**: the cache notifies it from every mutation path (store,
-merge, byebye removal, remote tombstone, TTL eviction — see
-``ServiceCache.attach_index``), so a read never rescans the entry set and
-never sees a key the cache already dropped.
+for what the serving tier wants to answer: by URL and by type prefix.
+``CacheIndex`` maintains those two inverted maps **incrementally**: the
+cache notifies it from every mutation path (store, merge, byebye removal,
+remote tombstone, TTL eviction — see ``ServiceCache.attach_index``), so a
+read never rescans the entry set and never sees a key the cache already
+dropped.
 
 Reads go through :meth:`snapshot`, which stamps the answer with the cache
 ``version`` it was computed against; the sorted type table behind prefix
@@ -26,7 +26,7 @@ rather than once per query that returns it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Optional
 
 from ..core.cache import CacheEntry, ServiceCache
 from ..sdp.base import ServiceRecord
@@ -69,14 +69,8 @@ class IndexSnapshot:
             found.extend(self._index._by_type[name].values())
         return found
 
-    def by_attribute(self, name: str, value: str) -> list[CacheEntry]:
-        return [e for e in self._index._by_attr.get((name, value), {}).values()]
-
     def types(self) -> list[str]:
         return self._index._sorted_types()
-
-    def entry_count(self) -> int:
-        return sum(len(m) for m in self._index._by_type.values())
 
 
 class CacheIndex:
@@ -86,7 +80,6 @@ class CacheIndex:
         self._cache: Optional[ServiceCache] = None
         self._by_url: dict[str, dict[Key, CacheEntry]] = {}
         self._by_type: dict[str, dict[Key, CacheEntry]] = {}
-        self._by_attr: dict[tuple[str, str], dict[Key, CacheEntry]] = {}
         #: Sorted type names, rebuilt lazily when the type set moved.
         self._type_table: Optional[list[str]] = None
         #: key -> wire fragment of the record last served under it.
@@ -110,7 +103,6 @@ class CacheIndex:
         self._cache = cache
         self._by_url.clear()
         self._by_type.clear()
-        self._by_attr.clear()
         self._type_table = None
         self._fragments.clear()
         cache.attach_index(self)
@@ -125,9 +117,7 @@ class CacheIndex:
     # -- mutation hooks (called by ServiceCache) -----------------------------
 
     def on_store(self, key: Key, entry: CacheEntry) -> None:
-        old = self._by_type.get(key[0], {}).get(key)
-        if old is not None:
-            self._drop(key, old)
+        self.on_remove(key)
         self._by_url.setdefault(key[1], {})[key] = entry
         bucket = self._by_type.get(key[0])
         if bucket is None:
@@ -135,33 +125,19 @@ class CacheIndex:
             self._type_table = None  # new type name: sorted table is stale
         else:
             bucket[key] = entry
-        for name, value in entry.record.attributes.items():
-            self._by_attr.setdefault((str(name), str(value)), {})[key] = entry
 
     def on_remove(self, key: Key) -> None:
-        old = self._by_type.get(key[0], {}).get(key)
-        if old is not None:
-            self._drop(key, old)
-
-    def _drop(self, key: Key, entry: CacheEntry) -> None:
-        self._fragments.pop(key, None)
-        urls = self._by_url.get(key[1])
-        if urls is not None:
-            urls.pop(key, None)
-            if not urls:
-                del self._by_url[key[1]]
         types = self._by_type.get(key[0])
-        if types is not None:
-            types.pop(key, None)
-            if not types:
-                del self._by_type[key[0]]
-                self._type_table = None
-        for name, value in entry.record.attributes.items():
-            attrs = self._by_attr.get((str(name), str(value)))
-            if attrs is not None:
-                attrs.pop(key, None)
-                if not attrs:
-                    del self._by_attr[(str(name), str(value))]
+        if types is None or types.pop(key, None) is None:
+            return
+        if not types:
+            del self._by_type[key[0]]
+            self._type_table = None
+        urls = self._by_url[key[1]]
+        del urls[key]
+        if not urls:
+            del self._by_url[key[1]]
+        self._fragments.pop(key, None)
 
     # -- reads ---------------------------------------------------------------
 
@@ -203,10 +179,6 @@ class CacheIndex:
                 problems.append(f"missing from url map: {key!r}")
         for key in indexed - set(truth):
             problems.append(f"stale in index: {key!r}")
-        for (name, value), bucket in self._by_attr.items():
-            for key in bucket:
-                if key not in truth:
-                    problems.append(f"stale in attr map ({name}={value}): {key!r}")
         for key in self._fragments:
             if key not in truth:
                 problems.append(f"stale in fragment map: {key!r}")

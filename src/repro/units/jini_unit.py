@@ -138,7 +138,6 @@ class JiniUnit(Unit):
             self.registrar = LookupService(
                 runtime.node, tcp_port=registrar_port, service_id_seed=7000
             )
-        self.lookups_translated = 0
 
     # -- environment traffic: learn registrars from announcements ---------------
 

@@ -78,6 +78,13 @@ from ..sdp.slp import (
 #: invisible to native agents).
 HOP_SCOPE_PREFIX = "x-indiss-hops-"
 
+#: How long the recursive AttrRqst may stall a session.  It is a unicast
+#: round trip to a responder that just answered, so a reply takes
+#: milliseconds; no reply at all means the responder serves no attributes
+#: (e.g. another INDISS gateway up a chain) and the session completes with
+#: the URLs it already has.
+ATTR_WAIT_US = 30_000
+
 
 def hop_scope(hops: int) -> str:
     """Render a hop budget as an SLP pseudo-scope."""
@@ -273,7 +280,6 @@ class SlpEventComposer(SdpComposer):
             service_type=slp_service_type(service_type),
             scopes=scopes,
         )
-        self.messages_composed += 1
         return OutboundMessage(
             payload=encode(request, self._memo),
             destination=Endpoint(SLP_MULTICAST_GROUP, SLP_PORT),
@@ -306,7 +312,6 @@ class SlpEventComposer(SdpComposer):
             )
         if session.requester is None:
             raise ComposeError("session has no requester to answer")
-        self.messages_composed += 1
         return OutboundMessage(
             payload=encode(reply, self._memo),
             destination=session.requester,
@@ -330,7 +335,6 @@ class SlpEventComposer(SdpComposer):
             url=_slp_url_from_parts(service_type, url),
             attr_list=serialize_attributes(attributes),
         )
-        self.messages_composed += 1
         return OutboundMessage(
             payload=encode(advert),
             destination=Endpoint(SLP_MULTICAST_GROUP, SLP_PORT),
@@ -391,8 +395,7 @@ class SlpUnit(Unit):
 
     sdp_id = "slp"
 
-    def __init__(self, runtime: UnitRuntime, wait_us: int = 15_000,
-                 attr_wait_us: int = 30_000):
+    def __init__(self, runtime: UnitRuntime, wait_us: int = 15_000):
         super().__init__(
             runtime,
             parsers={"slp": SlpEventParser()},
@@ -400,12 +403,6 @@ class SlpUnit(Unit):
             default_syntax="slp",
         )
         self._wait_us = wait_us
-        #: How long the recursive AttrRqst may stall the session.  It is a
-        #: unicast round trip to a responder that just answered, so a reply
-        #: takes milliseconds; no reply at all means the responder serves
-        #: no attributes (e.g. another INDISS gateway up a chain) and the
-        #: session completes with the URLs it already has.
-        self._attr_wait_us = attr_wait_us
         self._next_xid = 0x4000
         #: Native xid -> id of the session its replies belong to.
         self._sessions_by_xid: dict[int, int] = {}
@@ -512,7 +509,7 @@ class SlpUnit(Unit):
         self.runtime.schedule(
             compose_us, lambda: self._send_all([message], self.runtime.send_udp)
         )
-        self._after(session.session_id, self._attr_wait_us + compose_us, self._attr_timeout)
+        self._after(session.session_id, ATTR_WAIT_US + compose_us, self._attr_timeout)
 
     def _attr_timeout(self, entry: SessionEntry) -> None:
         """AttrRply never came: finish with the URLs, minus attributes."""

@@ -251,7 +251,6 @@ class UpnpEventComposer(SdpComposer):
         st = upnp_device_type(service_type)
         # Forwarded requests spend one hop per gateway traversal.
         hops = session.vars.get("hops")
-        self.messages_composed += 1
         payload, message = seeded_msearch(
             st, mx_s=0, hops=None if hops is None else int(hops) - 1
         )
@@ -276,7 +275,6 @@ class UpnpEventComposer(SdpComposer):
                 ttl = int(event.get("seconds", ttl))
         if session.requester is None:
             raise ComposeError("session has no requester to answer")
-        self.messages_composed += 1
         payload, message = seeded_search_response(
             st=st, usn=usn, location=location, server=SERVER_STRING, max_age_s=ttl
         )
@@ -291,7 +289,6 @@ class UpnpEventComposer(SdpComposer):
         location = str(session.vars.get("export_location", ""))
         nt = str(session.vars.get("st", ""))
         usn = str(session.vars.get("usn", f"uuid:indiss-{session.session_id}::{nt}"))
-        self.messages_composed += 1
         payload, message = seeded_notify_alive(nt=nt, usn=usn, location=location)
         return OutboundMessage(
             payload=payload,

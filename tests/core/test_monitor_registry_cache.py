@@ -111,7 +111,7 @@ class TestMonitor:
         raws = []
         monitor.on_raw = lambda sdp, raw, meta: raws.append(raw)
         own = host.udp.socket().bind(50001)
-        monitor.ignore_endpoint(host.address, 50001)
+        own.origin = monitor
         own.sendto(b"self", Endpoint("239.255.255.250", 1900))
         other.udp.socket().bind(50002).sendto(b"other", Endpoint("239.255.255.250", 1900))
         net.run()

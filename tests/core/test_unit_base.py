@@ -116,15 +116,19 @@ class TestListeners:
 
 
 class TestUnitRuntime:
-    def test_send_udp_registers_own_port(self):
+    def test_send_paths_stamp_the_origin(self):
         net = Network(latency=LatencyModel(jitter_us=0))
-        node = net.add_node("h")
-        registered = []
-        runtime = UnitRuntime(node, register_own_port=lambda h, p: registered.append((h, p)))
-        peer = net.add_node("peer")
-        peer.udp.socket().bind(5000)
-        runtime.send_udp(b"x", Endpoint(peer.address, 5000))
-        assert registered and registered[0][0] == node.address
+        node, peer = net.add_node("h"), net.add_node("peer")
+        origin = object()
+        runtime = UnitRuntime(node, origin=origin)
+        got = []
+        peer.udp.socket().bind(5000).on_datagram(got.append)
+        runtime.send_udp(b"persistent", Endpoint(peer.address, 5000))
+        runtime.send_udp_from_new_socket(b"throwaway", Endpoint(peer.address, 5000))
+        net.run()
+        assert {d.payload: d.origin for d in got} == {
+            b"persistent": origin, b"throwaway": origin,
+        }
 
     def test_datagram_handler_receives_replies(self):
         net = Network(latency=LatencyModel(jitter_us=0))

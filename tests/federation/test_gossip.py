@@ -403,10 +403,10 @@ def _capture_gossip_frames(monkeypatch):
     frames = []
     send = NetworkClass.send_datagram
 
-    def capture(self, sender, source, destination, payload, decode_hint=None):
+    def capture(self, sender, source, destination, payload, decode_hint=None, origin=None):
         if destination.port == GOSSIP_PORT:
             frames.append((payload, decode_hint))
-        return send(self, sender, source, destination, payload, decode_hint=decode_hint)
+        return send(self, sender, source, destination, payload, decode_hint, origin)
 
     monkeypatch.setattr(NetworkClass, "send_datagram", capture)
     return frames

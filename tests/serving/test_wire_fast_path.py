@@ -142,10 +142,10 @@ def test_every_serving_frame_carries_a_hint_equal_to_its_decode(monkeypatch):
     seen = []
     send = Network.send_datagram
 
-    def capture(self, sender, source, destination, payload, decode_hint=None):
+    def capture(self, sender, source, destination, payload, decode_hint=None, origin=None):
         if decode_hint is not None and decode_hint[0] == wire.WIRE_MEMO_KEY:
             seen.append((payload, decode_hint[1]))
-        return send(self, sender, source, destination, payload, decode_hint)
+        return send(self, sender, source, destination, payload, decode_hint, origin)
 
     monkeypatch.setattr(Network, "send_datagram", capture)
     world = run_small()
