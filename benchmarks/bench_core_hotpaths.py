@@ -113,7 +113,7 @@ def _measure(spec, runs: int = 3, name: str | None = None, **run_kwargs) -> dict
         "events_fired": events,
         "events_per_sec": round(events / wall_s) if wall_s > 0 else 0,
         "runs": max(1, runs),
-        "nodes": len(outcome.world.nodes),
+        "nodes": outcome.world.node_count,
         "latency_ms": outcome.latency_ms,
         "results": outcome.results,
     }

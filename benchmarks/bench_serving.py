@@ -100,7 +100,7 @@ def _serving_row(world, outcome, wall_s: float) -> dict:
         "events_per_sec": (
             round(outcome.world.scheduler.events_fired / wall_s) if wall_s else 0
         ),
-        "nodes": len(outcome.world.nodes),
+        "nodes": outcome.world.node_count,
         "queries_offered": extras.get("queries_offered", 0),
         "queries_sent": extras.get("queries_sent", 0),
         "responses": answered,

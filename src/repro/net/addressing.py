@@ -114,6 +114,10 @@ class AddressAllocator:
     classic home-LAN segment.  A two-octet prefix (``"10.7"``) allocates a
     /16 — enough for the multi-thousand-node metro scenarios, where a /24
     per segment is the binding constraint.
+
+    Host numbers run from 1; :meth:`reserve` sets a block of them aside
+    for idle hosts that exist only as addresses until :meth:`claim`
+    takes one out.
     """
 
     def __init__(self, prefix: str = "192.168.1"):
@@ -123,8 +127,11 @@ class AddressAllocator:
         ):
             raise AddressError(f"prefix must be two or three octets, got {prefix!r}")
         self._prefix = prefix
+        self._octets = tuple(int(p) for p in parts)
         self._wide = len(parts) == 2
         self._next_host = 1
+        #: Reserved, unclaimed host numbers as ``(first_host, count)`` runs.
+        self._idle_runs: list[tuple[int, int]] = []
 
     @property
     def capacity(self) -> int:
@@ -136,11 +143,20 @@ class AddressAllocator:
         """Hosts still available."""
         return self.capacity - (self._next_host - 1)
 
+    @property
+    def cidr(self) -> str:
+        """The subnet in prefix-length notation (``"10.7.0.0/16"``)."""
+        return f"{self._prefix}.0.0/16" if self._wide else f"{self._prefix}.0/24"
+
+    @property
+    def idle(self) -> int:
+        """Reserved host numbers not yet claimed."""
+        return sum(count for _, count in self._idle_runs)
+
     def allocate(self) -> str:
         """Return the next unused address in the subnet."""
         if self.remaining <= 0:
-            mask = "0.0/16" if self._wide else "0/24"
-            raise AddressError(f"subnet {self._prefix}.{mask} exhausted")
+            raise AddressError(f"subnet {self.cidr} exhausted")
         if self._wide:
             hi, lo = divmod(self._next_host - 1, 254)
             address = f"{self._prefix}.{hi}.{lo + 1}"
@@ -148,6 +164,33 @@ class AddressAllocator:
             address = f"{self._prefix}.{self._next_host}"
         self._next_host += 1
         return address
+
+    def reserve(self, count: int) -> None:
+        """Set the next ``count`` host numbers aside as one idle run."""
+        if count > self.remaining:
+            raise AddressError(f"subnet {self.cidr} exhausted")
+        if count > 0:
+            self._idle_runs.append((self._next_host, count))
+            self._next_host += count
+
+    def claim(self, address: str) -> bool:
+        """Take ``address`` out of the idle runs; False when not reserved."""
+        try:
+            octets = parse_ipv4(address)
+        except AddressError:
+            return False
+        width = len(self._octets)
+        last = octets[3]
+        if octets[:width] != self._octets or not 1 <= last <= 254:
+            return False
+        host = octets[2] * 254 + last if self._wide else last
+        runs = self._idle_runs
+        for i, (first, count) in enumerate(runs):
+            if first <= host < first + count:
+                before, after = (first, host - first), (host + 1, first + count - host - 1)
+                runs[i:i + 1] = [run for run in (before, after) if run[1]]
+                return True
+        return False
 
 
 __all__ = [

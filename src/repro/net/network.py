@@ -94,6 +94,8 @@ class Network:
         self.router = Router()
         self.segments: dict[str, Segment] = {}
         self._nodes: dict[str, Node] = {}
+        #: Reserved idle hosts not yet built (see :meth:`reserve_hosts`).
+        self._idle_hosts = 0
         self._next_auto_subnet = 2
         #: Network-wide totals; an adaptation manager that reads the whole
         #: network retains a window on it when it is built.
@@ -233,12 +235,33 @@ class Network:
             address = seg.allocate_address()
         else:
             parse_ipv4(address)
-        if address in self._nodes:
+        if self.node_at(address) is not None:
             raise AddressError(f"address {address} already attached")
         node = Node(self, name, address)
         self._nodes[address] = node
         seg.attach(node)
         return node
+
+    def reserve_hosts(self, segment: Segment, count: int) -> None:
+        """Attach ``count`` idle hosts to ``segment`` as an address
+        reservation: they count in :attr:`node_count` and hold the next
+        ``count`` addresses, but no :class:`Node` exists for one until its
+        address is first looked up (a send, :meth:`node_at`), which builds
+        it stackless on that segment, once."""
+        segment.reserve_idle(count)
+        self._idle_hosts += count
+
+    def _idle_node(self, address: str) -> Optional[Node]:
+        """Build the reserved idle host at ``address``, or None.  Only the
+        miss branch of an address lookup calls this."""
+        if self._idle_hosts:
+            for segment in self.segments.values():
+                node = segment.claim_idle(address)
+                if node is not None:
+                    self._idle_hosts -= 1
+                    self._nodes[address] = node
+                    return node
+        return None
 
     def bridge(self, node: Node, *segments: Segment | str) -> Bridge:
         """Multi-home ``node`` onto additional segments (gateway placement)."""
@@ -303,14 +326,6 @@ class Network:
             segment.attach(node)
 
     # -- crash faults (crash-stop / crash-recovery) -----------------------------
-
-    def is_crashed(self, node_or_address) -> bool:
-        address = (
-            node_or_address
-            if isinstance(node_or_address, str)
-            else node_or_address.address
-        )
-        return address in self._crash_info
 
     def crashed_node(self, address: str) -> Optional[Node]:
         """The crash-stopped node at ``address`` (it left ``node_at``'s
@@ -671,11 +686,21 @@ class Network:
         return counter.__next__
 
     def node_at(self, address: str) -> Optional[Node]:
-        return self._nodes.get(address)
+        node = self._nodes.get(address)
+        if node is None:
+            node = self._idle_node(address)
+        return node
 
     @property
     def nodes(self) -> list[Node]:
+        """Attached hosts that exist as objects; reserved idle hosts are
+        counted by :attr:`node_count` but not listed until looked up."""
         return list(self._nodes.values())
+
+    @property
+    def node_count(self) -> int:
+        """Attached hosts, reserved idle ones included."""
+        return len(self._nodes) + self._idle_hosts
 
     # -- capture --------------------------------------------------------------
 
@@ -771,7 +796,9 @@ class Network:
             return None  # detached host: nothing reaches the wire
         target = self._nodes.get(remote_host)
         if target is None:
-            return None
+            target = self._idle_node(remote_host)
+            if target is None:
+                return None
         route = self._route_segments(sender, target)
         if route is None:
             return None
@@ -870,6 +897,8 @@ class Network:
             self._deliver_to_sockets(sender, datagram, True, home, 0)
             return
         target = self._nodes.get(host)
+        if target is None:
+            target = self._idle_node(host)
         route = None if target is None else self._route_segments(sender, target)
         if route is None:
             self._book(sender.segments[:1], datagram, now)
@@ -1064,6 +1093,8 @@ class Network:
         self, dest_host: str, dest_port: int, datagram: Datagram
     ) -> None:
         target = self._nodes.get(dest_host)
+        if target is None:
+            target = self._idle_node(dest_host)
         if target is None:
             # Churned out while the frame crossed the link.
             self.unrouted += 1

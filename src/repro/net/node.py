@@ -14,7 +14,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Node:
-    """One host: an address plus its UDP and TCP stacks.
+    """One host that exists as an object: an address plus its UDP and TCP
+    stacks.  A reserved idle host (``Network.reserve_hosts``) has no
+    ``Node`` until its address is first looked up.
 
     Application components (SDP agents, INDISS) hold a reference to their
     node and reach the shared scheduler through it, so co-located components
@@ -26,9 +28,7 @@ class Node:
         self.network = network
         self.name = name
         self.address = address
-        # Stacks are created on first use: thousand-node scenarios attach
-        # mostly idle background hosts, and two stack allocations per node
-        # dominate their setup cost.
+        # Stacks are created on first use: most hosts never open a socket.
         self._udp: UdpStack | None = None
         self._tcp: TcpStack | None = None
         #: Segments this host has an interface on; populated by

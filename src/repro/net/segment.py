@@ -28,11 +28,11 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from .addressing import AddressAllocator
 from .errors import AddressError, NetworkError
 from .latency import LatencyModel
+from .node import Node
 from .traffic import UTILIZATION_WINDOW_US, TrafficMonitor
 
 if TYPE_CHECKING:  # pragma: no cover
     from .network import Network
-    from .node import Node
 
 #: Default one-way latency charged for crossing one inter-segment link.
 DEFAULT_LINK_LATENCY_US = 500
@@ -79,9 +79,29 @@ class Segment:
     def allocate_address(self) -> str:
         return self._allocator.allocate()
 
-    def has_free_address(self) -> bool:
-        """True while the segment's subnet can still attach another host."""
-        return self._allocator.remaining > 0
+    @property
+    def free_addresses(self) -> int:
+        """How many more hosts the segment's subnet can attach."""
+        return self._allocator.remaining
+
+    def reserve_idle(self, count: int) -> None:
+        """Reserve the next ``count`` addresses for idle hosts (see
+        :meth:`Network.reserve_hosts`)."""
+        self._allocator.reserve(count)
+
+    def claim_idle(self, address: str) -> Optional[Node]:
+        """The idle host reserved at ``address`` as a stackless node
+        attached here, or None when no such host is reserved.
+
+        Claiming changes no reachability (the host counted as attached
+        all along), so no cached delivery plan is dropped.
+        """
+        if not self._allocator.claim(address):
+            return None
+        node = Node(self.network, f"bg-{self.name}-{address}", address)
+        self._nodes[address] = node
+        node.segments.append(self)
+        return node
 
     def attach(self, node: "Node") -> None:
         """Attach ``node`` to this segment (multi-homing is allowed)."""
@@ -136,6 +156,8 @@ class Segment:
 
     @property
     def nodes(self) -> list["Node"]:
+        """Hosts attached here that exist as objects (unclaimed idle
+        reservations are not listed)."""
         return list(self._nodes.values())
 
     def __contains__(self, node: "Node") -> bool:
@@ -155,8 +177,9 @@ class Segment:
         """
         return self.latency.det_delay_us(size_bytes)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug convenience
-        return f"Segment({self.name!r}, {self.subnet}.0/24, nodes={len(self._nodes)})"
+    def __repr__(self) -> str:
+        hosts = len(self._nodes) + self._allocator.idle
+        return f"Segment({self.name!r}, {self._allocator.cidr}, nodes={hosts})"
 
 
 @dataclass(frozen=True)

@@ -471,9 +471,6 @@ class UdpStack:
                 for group in sock.groups:
                     yield group, port, sock
 
-    def bound_ports(self) -> list[int]:
-        return sorted(self._ports)
-
     def crash(self) -> None:
         """Crash-stop teardown: every bound socket closes *as crashed*.
 

@@ -478,20 +478,30 @@ class World:
             raise BuildError(f"host {host!r} carries no {slot!r} app") from None
 
     def _fill(self, step: Fill) -> None:
-        """Pad segments round-robin with idle hosts up to ``total_nodes``."""
-        segments = list(self.net.segments.values())
-        existing = len(self.net.nodes)
+        """Pad segments round-robin with idle hosts up to ``total_nodes``.
+
+        The hosts are reserved, not built: each segment takes one run of
+        addresses (:meth:`~repro.net.Network.reserve_hosts`), so a fill
+        of thousands costs a count per segment."""
+        net = self.net
+        segments = list(net.segments.values())
+        existing = net.node_count
+        free = [segment.free_addresses for segment in segments]
+        counts = [0] * len(segments)
         for i in range(max(0, step.total_nodes - existing)):
-            segment = segments[i % len(segments)]
-            if not segment.has_free_address():
-                open_segments = [s for s in segments if s.has_free_address()]
+            k = i % len(segments)
+            if not free[k]:
+                open_segments = [j for j, left in enumerate(free) if left]
                 if not open_segments:
                     raise NetworkError(
-                        f"all subnets exhausted after {len(self.net.nodes)} nodes; "
+                        f"all subnets exhausted after {existing + i} nodes; "
                         f"use wider (two-octet) segment subnets for this scale"
                     )
-                segment = open_segments[i % len(open_segments)]
-            self.net.add_node(f"bg-{segment.name}-{i}", segment=segment)
+                k = open_segments[i % len(open_segments)]
+            free[k] -= 1
+            counts[k] += 1
+        for segment, count in zip(segments, counts):
+            net.reserve_hosts(segment, count)
 
     # -- run control --------------------------------------------------------
 

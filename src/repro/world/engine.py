@@ -29,10 +29,8 @@ belong on the inline backend, which shares the same window protocol.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-import traceback
 from typing import Optional
 
 from ..obs import MetricsRegistry, sort_records
@@ -79,6 +77,8 @@ def _worker_result(world: World) -> dict:
 
 def _worker_main(world: World, pid: int, conn) -> None:
     """Run one district's shard to completion, swapping barrier batches."""
+    import traceback
+
     try:
         def exchange(edge_us: int, frames: list) -> list:
             conn.send(("window", edge_us, frames))
@@ -201,6 +201,10 @@ def run_world_mp(
     pmap, _ = spec_partition_map(spec)
     if pmap.count == 1 or not hasattr(os, "fork"):
         return run_world_partitioned(spec, seed=seed, costs=costs, record=record)
+
+    # Imported on use, so a plain ``import repro.world`` loads neither
+    # multiprocessing nor the socket, pickle, select and signal it pulls in.
+    import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     start = time.perf_counter()

@@ -298,7 +298,7 @@ def gateway_count(world) -> dict:
 
 
 def node_count(world) -> dict:
-    return {"total_nodes": len(world.net.nodes)}
+    return {"total_nodes": world.net.node_count}
 
 
 def device_count(world) -> dict:
@@ -363,7 +363,7 @@ def global_metrics(world) -> dict:
     sched = net.scheduler
     return {
         "events_fired": sched.events_fired,
-        "nodes": len(net.nodes),
+        "nodes": net.node_count,
         "unrouted": net.unrouted,
         "route_cache_hits": getattr(net, "route_cache_hits", 0),
         "route_cache_misses": getattr(net, "route_cache_misses", 0),

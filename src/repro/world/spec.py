@@ -266,7 +266,11 @@ class FleetSpec(_Element):
 @dataclass(frozen=True)
 class Fill(_Element, _Step):
     """Pad the world with idle background hosts up to ``total_nodes``,
-    round-robin across segments (skipping exhausted subnets)."""
+    round-robin across segments (skipping exhausted subnets).
+
+    The hosts are an address reservation, one run per segment: they count
+    in ``Network.node_count`` and hold their addresses, but no ``Node``
+    exists for one until its address is first looked up."""
 
     total_nodes: int
 

@@ -134,7 +134,7 @@ class TestScenarioFamily:
         outcome = run_world(multi_segment_home_spec(nodes=50), seed=3)
         assert outcome.latency_us is not None
         assert outcome.results >= 1
-        assert len(outcome.world.nodes) == 50
+        assert outcome.world.node_count == 50
         assert len(outcome.world.segments) == 2
 
     def test_gateway_chain_scenario_finds_service(self):
@@ -148,7 +148,7 @@ class TestScenarioFamily:
         assert outcome.latency_us is not None
         assert outcome.results >= 1
         assert len(outcome.world.segments) == 8
-        assert len(outcome.world.nodes) == 200
+        assert outcome.world.node_count == 200
 
     def test_chain_latency_grows_with_depth(self):
         two = run_world(multi_segment_home_spec(), seed=5)

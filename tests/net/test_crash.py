@@ -13,6 +13,8 @@ import pytest
 from repro.net import Endpoint, LatencyModel, Network, NetworkError
 from repro.net.network import RESTART_SESSION_BLOCK, SESSION_ID_BLOCK
 
+from .introspect import is_crashed
+
 
 def make_net():
     return Network(latency=LatencyModel(jitter_us=0))
@@ -22,15 +24,15 @@ def test_crash_state_transitions_and_errors():
     net = make_net()
     victim = net.add_node("victim")
     address = victim.address
-    assert not net.is_crashed(victim)
+    assert not is_crashed(net, victim)
     net.crash_node(victim)
-    assert net.is_crashed(victim) and net.is_crashed(address)
+    assert is_crashed(net, victim) and is_crashed(net, address)
     assert net.crashed_node(address) is victim
     assert net.node_at(address) is None
     with pytest.raises(NetworkError):
         net.crash_node(victim)
     net.restart_node(victim)
-    assert not net.is_crashed(victim)
+    assert not is_crashed(net, victim)
     assert net.crashed_node(address) is None
     assert net.node_at(address) is victim
     with pytest.raises(NetworkError):
@@ -153,7 +155,7 @@ def test_scheduled_crash_and_restart():
     assert executed == [(2_500, "crash"), (6_500, "restart")]
     # Only pre-crash ticks landed; the restarted host has no socket bound.
     assert got and all(t < 2_500 for t in got)
-    assert not net.is_crashed(victim)
+    assert not is_crashed(net, victim)
     count_before = len(got)
     sender.udp.socket().bind(6001).sendto(b"late", Endpoint(victim.address, 5000))
     net.run()

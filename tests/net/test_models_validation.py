@@ -5,6 +5,8 @@ import pytest
 from repro.net import Endpoint, LatencyModel, LossModel, Network
 from repro.net.traffic import TrafficMonitor
 
+from .introspect import bound_ports
+
 
 class TestLatencyModel:
     def test_transmission_time(self):
@@ -133,10 +135,10 @@ class TestEphemeralPorts:
         net = Network(latency=LatencyModel(jitter_us=0))
         node = net.add_node("n")
         runtime = UnitRuntime(node)
-        ports_before = node.udp.bound_ports()
+        ports_before = bound_ports(node.udp)
         for _ in range(20_000):
             runtime.send_udp_from_new_socket(b"x", Endpoint("192.168.1.99", 9))
-        assert node.udp.bound_ports() == ports_before
+        assert bound_ports(node.udp) == ports_before
         assert runtime.messages_sent == 20_000
 
     def test_tcp_ephemeral_monotonic(self):

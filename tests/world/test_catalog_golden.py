@@ -137,7 +137,7 @@ def outcome_fingerprint(outcome) -> dict:
         "events_fired": world.scheduler.events_fired,
         "latency_us": outcome.latency_us,
         "results": outcome.results,
-        "nodes": len(world.nodes),
+        "nodes": world.node_count,
         "segments": sorted(world.segments),
         "extras": _digest(outcome.extras),
         "extras_invariant": _digest(invariant_extras(outcome.extras)),

@@ -23,6 +23,8 @@ from repro.world import (
 )
 from repro.world.scenarios import SCENARIO_SPECS, crash_recovery_spec
 
+from net.introspect import is_crashed
+
 
 def fleet_spec(workload, suspect_after=None, dead_after=None) -> WorldSpec:
     """Two federated leaf gateways, a client behind one, a clock device
@@ -95,7 +97,7 @@ class TestApplication:
         gwb = world.hosts["gwB"].address
         world.run_workload()
         # Back in the network, back in the fleet, back on the ring.
-        assert not world.net.is_crashed(gwb)
+        assert not is_crashed(world.net, gwb)
         assert gwb in fleet.members and gwb in fleet.ring
         assert fleet.members[gwb].gossiper is not None
         assert not fleet.health.is_down(gwb)
@@ -116,7 +118,7 @@ class TestApplication:
             seed=0,
         )
         world.run_workload()
-        assert not world.net.is_crashed(world.hosts["service"].address)
+        assert not is_crashed(world.net, world.hosts["service"].address)
 
     def test_restart_without_crash_fails_loudly(self):
         world = World.build(fleet_spec((Restart("gwB"),)), seed=0)

@@ -33,7 +33,7 @@ def _signature(outcome):
         "latency_us": outcome.latency_us,
         "results": outcome.results,
         "extras": outcome.extras,
-        "nodes": len(outcome.world.nodes),
+        "nodes": outcome.world.node_count,
     }
 
 

@@ -11,8 +11,14 @@ capture trace) reports exactly what the inline partitioned engine
 reports.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.world import SpecError, World, run_world, run_world_mp, spec_partition_map
 from repro.world.engine import run_world_partitioned
 from repro.world.scenarios import (
@@ -87,6 +93,22 @@ def test_multiprocess_backend_matches_inline():
         assert mp[key] == inline[key], key
     assert mp["extras"]["ping_received"] > 0
     assert mp["extras"]["chatter_found_rate"] > 0.8
+
+
+def test_importing_the_world_api_skips_multiprocessing():
+    """Only :func:`run_world_mp` forks, so only it loads multiprocessing
+    (and the socket, pickle, select and signal modules it brings)."""
+    code = (
+        "import sys, repro.world, repro.world.scenarios; "
+        "print(sorted({'multiprocessing', 'socket', 'pickle', 'select', "
+        "'signal'} & set(sys.modules)))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_multiprocess_backend_matches_inline_for_serving():

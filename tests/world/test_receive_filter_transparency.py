@@ -27,6 +27,8 @@ from repro.world.scenarios import (
     serving_backbone_spec,
 )
 
+from net.introspect import bound_ports
+
 from .test_catalog_golden import assert_matches_golden, entry_rows, ignore_receive_filters
 
 WORLDS = {
@@ -116,7 +118,7 @@ def test_filters_are_declared_where_handlers_dropped_frames():
         sock.receive_filter.classify.__name__
         for node in world.net.nodes
         if node.udp_stack is not None
-        for port in node.udp_stack.bound_ports()
+        for port in bound_ports(node.udp_stack)
         for sock in node.udp_stack.sockets_for(port)
         if sock.receive_filter is not None
     }
